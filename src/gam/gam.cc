@@ -12,6 +12,20 @@
 #include "util/validate.h"
 
 namespace gef {
+namespace {
+
+// Binomial deviance of η against y. Summed serially, so the PIRLS stopping
+// test and the GCV score are the same at every thread count.
+double LogitDeviance(const Vector& y, const Vector& eta) {
+  double deviance = 0.0;
+  for (size_t i = 0; i < y.size(); ++i) {
+    deviance += UnitDeviance(LinkType::kLogit, y[i],
+                             LinkInverse(LinkType::kLogit, eta[i]));
+  }
+  return deviance;
+}
+
+}  // namespace
 
 Gam::FitCandidate Gam::FitIdentity(FitWorkspace* ws, const Matrix& gram,
                                    const Vector& rhs, const Vector& y,
@@ -48,23 +62,29 @@ Gam::FitCandidate Gam::FitIdentity(FitWorkspace* ws, const Matrix& gram,
 
 Gam::FitCandidate Gam::FitLogit(FitWorkspace* ws, const Vector& y,
                                 const std::vector<double>& lambdas,
-                                const GamConfig& config) const {
+                                const GamConfig& config,
+                                const Vector& start_eta) const {
   FitCandidate fit;
   const size_t n = y.size();
 
   // PIRLS: iterate weighted penalized LS on the working response. The
   // weights change every iteration, so the Gram cannot be hoisted here —
-  // but each build is the O(n·nnz²) sparse kernel, not O(n·p²).
-  Vector eta(n);
-  for (size_t i = 0; i < n; ++i) {
-    double mu0 = std::clamp((y[i] + 0.5) / 2.0, 0.01, 0.99);
-    eta[i] = LinkApply(LinkType::kLogit, mu0);
+  // but each build is the O(n·nnz²) sparse kernel, not O(n·p²). A warm
+  // start (the η of a neighbouring candidate) replaces the y-based one.
+  Vector eta = start_eta;
+  if (eta.empty()) {
+    eta.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      double mu0 = std::clamp((y[i] + 0.5) / 2.0, 0.01, 0.99);
+      eta[i] = LinkApply(LinkType::kLogit, mu0);
+    }
   }
+  double deviance = LogitDeviance(y, eta);
 
-  Vector beta_prev;
   Matrix gram;
   Vector weights(n), working(n);
-  for (int iter = 0; iter < config.max_pirls_iters; ++iter) {
+  bool converged = false;
+  for (int iter = 0; iter < config.max_pirls_iters && !converged; ++iter) {
     for (size_t i = 0; i < n; ++i) {
       double mu = LinkInverse(LinkType::kLogit, eta[i]);
       double w = LinkVariance(LinkType::kLogit, mu);
@@ -75,34 +95,26 @@ Gam::FitCandidate Gam::FitLogit(FitWorkspace* ws, const Vector& y,
     Vector rhs = CenteredGramWeightedRhs(*ws, weights, working);
     const Matrix& penalized =
         AssemblePenalized(ws, gram, terms_, layout_, lambdas);
-    auto chol = Cholesky::Factorize(penalized);
-    if (!chol.has_value()) return fit;
+    fit.factor = Cholesky::Factorize(penalized);
+    if (!fit.factor.has_value()) return fit;
+    fit.beta = fit.factor->Solve(rhs);
+    eta = CenteredMatVec(*ws, fit.beta);
 
-    Vector beta = chol->Solve(rhs);
-    eta = CenteredMatVec(*ws, beta);
-
-    double delta = 0.0;
-    if (!beta_prev.empty()) {
-      Vector diff = beta;
-      Axpy(-1.0, beta_prev, &diff);
-      delta = Norm(diff) / std::max(1.0, Norm(beta));
-    } else {
-      delta = std::numeric_limits<double>::infinity();
-    }
-    beta_prev = beta;
-    fit.beta = std::move(beta);
-    fit.factor = std::move(chol);
-    if (delta < config.pirls_tol) break;
+    // Stop once the deviance is flat (R's glm.fit rule). Successive β
+    // are no test: each term's constant direction is null in both the
+    // centered design and the penalty, so only the factorization jitter
+    // pins it, and β drifts along it without moving η.
+    const double previous = deviance;
+    deviance = LogitDeviance(y, eta);
+    converged = std::fabs(deviance - previous) <=
+                config.pirls_tol * (std::fabs(deviance) + 0.1);
   }
+  if (!converged) GEF_OBS_COUNTER_ADD("gam.pirls_capped", 1);
 
   fit.edof = fit.factor->TraceOfProductSolve(gram);
+  fit.eta = std::move(eta);
 
   // Deviance-based GCV for the binomial family.
-  double deviance = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double mu = LinkInverse(LinkType::kLogit, eta[i]);
-    deviance += UnitDeviance(LinkType::kLogit, y[i], mu);
-  }
   fit.rss = deviance;
   const double dn = static_cast<double>(n);
   double denom = dn - fit.edof;
@@ -118,6 +130,7 @@ bool Gam::Fit(TermList terms, const Dataset& data, const GamConfig& config) {
   GEF_CHECK(data.has_targets());
   GEF_CHECK_GT(data.num_rows(), 0u);
   GEF_CHECK(!config.lambda_grid.empty());
+  GEF_CHECK_GE(config.max_pirls_iters, 1);
 
   terms_ = std::move(terms);
   link_ = config.link;
@@ -143,22 +156,26 @@ bool Gam::Fit(TermList terms, const Dataset& data, const GamConfig& config) {
     gram = CenteredGramWeighted(ws, {});
     rhs = CenteredGramWeightedRhs(ws, {}, y);
   }
-  auto fit_with = [&](const std::vector<double>& lambdas) {
+  auto fit_with = [&](const std::vector<double>& lambdas,
+                      const Vector& start_eta) {
     return link_ == LinkType::kIdentity
                ? FitIdentity(&ws, gram, rhs, y, lambdas)
-               : FitLogit(&ws, y, lambdas, config);
+               : FitLogit(&ws, y, lambdas, config, start_eta);
   };
 
-  // Stage 1: the paper's shared-λ GCV grid search.
+  // Stage 1: the paper's shared-λ GCV grid search. Each grid point starts
+  // from the previous one.
   FitCandidate best;
   double best_gcv = std::numeric_limits<double>::infinity();
   double best_lambda = 0.0;
+  Vector previous_eta;
   for (double lambda : config.lambda_grid) {
     GEF_CHECK_GT(lambda, 0.0);
     std::vector<double> lambdas(terms_.size(), lambda);
-    FitCandidate candidate = fit_with(lambdas);
+    FitCandidate candidate = fit_with(lambdas, previous_eta);
     if (candidate.ok) {
       GEF_OBS_METRIC("gam.gcv_trace", lambda, candidate.gcv);
+      previous_eta = candidate.eta;
     }
     if (candidate.ok && candidate.gcv < best_gcv) {
       best_gcv = candidate.gcv;
@@ -169,7 +186,8 @@ bool Gam::Fit(TermList terms, const Dataset& data, const GamConfig& config) {
   if (!best.ok) return false;
   std::vector<double> lambdas(terms_.size(), best_lambda);
 
-  // Stage 2 (extension): per-term coordinate descent on GCV.
+  // Stage 2 (extension): per-term coordinate descent on GCV. Each trial
+  // starts from the current best.
   if (config.per_term_lambda) {
     for (int round = 0; round < config.per_term_rounds; ++round) {
       bool improved = false;
@@ -178,7 +196,7 @@ bool Gam::Fit(TermList terms, const Dataset& data, const GamConfig& config) {
         for (double factor : config.per_term_factors) {
           std::vector<double> trial = lambdas;
           trial[t] = lambdas[t] * factor;
-          FitCandidate candidate = fit_with(trial);
+          FitCandidate candidate = fit_with(trial, best.eta);
           if (candidate.ok && candidate.gcv < best_gcv - 1e-12) {
             best_gcv = candidate.gcv;
             best = std::move(candidate);

@@ -38,7 +38,11 @@ struct GamConfig {
   /// Candidate shared smoothing parameters; GCV picks one.
   std::vector<double> lambda_grid = {1e-3, 1e-2, 1e-1, 1.0,
                                      1e1,  1e2,  1e3};
+  /// Cap on PIRLS iterations per candidate fit (logit link); at least 1.
   int max_pirls_iters = 30;
+  /// Relative change of the binomial deviance between PIRLS iterations
+  /// at which a candidate stops: |dev_t − dev_{t−1}| ≤ pirls_tol ·
+  /// (|dev_t| + 0.1), R's glm.fit rule.
   double pirls_tol = 1e-8;
 
   /// Extension beyond the paper (which fixes λ_1 = … = λ_{p+q}):
@@ -146,6 +150,9 @@ class Gam {
     /// (its inverse) is materialized once for the final winner only —
     /// never on the GCV grid, where EDoF comes from triangular solves.
     std::optional<Cholesky> factor;
+    /// Final linear predictor of a logit fit (empty for the identity
+    /// link); the warm start of the next PIRLS candidate.
+    Vector eta;
     double gcv = 0.0;
     double edof = 0.0;
     double rss = 0.0;
@@ -154,13 +161,15 @@ class Gam {
 
   // Candidate fits share the λ-independent workspace (sparse design,
   // hoisted Gram/RHS for the identity link, penalty blocks, scratch);
-  // only the per-term λ vector varies between calls.
+  // only the per-term λ vector and, for PIRLS, the starting η (empty:
+  // start from y) vary between calls.
   FitCandidate FitIdentity(FitWorkspace* ws, const Matrix& gram,
                            const Vector& rhs, const Vector& y,
                            const std::vector<double>& lambdas) const;
   FitCandidate FitLogit(FitWorkspace* ws, const Vector& y,
                         const std::vector<double>& lambdas,
-                        const GamConfig& config) const;
+                        const GamConfig& config,
+                        const Vector& start_eta) const;
 
   /// Recomputes min_row_width_ from terms_. Every site that assembles
   /// fitted state (Fit, GamFromString, FitGamByBackfitting) calls this

@@ -3,7 +3,9 @@
 // kernels must agree with their dense counterparts, fits must be
 // bit-identical at every thread count, and an identity-link Fit must
 // build its Gram exactly once across the whole GCV grid and per-term
-// coordinate descent (the hoisting contract — `gam.gram_builds`).
+// coordinate descent (the hoisting contract — `gam.gram_builds`). A
+// logit-link Fit must stop PIRLS on a flat deviance well before the
+// iteration cap (`gam.pirls_capped`).
 
 #include <cmath>
 #include <memory>
@@ -36,6 +38,19 @@ Dataset MixedData(size_t n, Rng* rng) {
                0.5 * cat + 0.8 * x0 * x1 + rng->Normal(0.0, 0.05);
     d.AppendRow({x0, x1, cat}, y);
   }
+  return d;
+}
+
+// MixedData's signal pushed through the logistic with logit-scale noise:
+// soft labels in (0, 1) that the terms cannot reproduce exactly, like the
+// forest probabilities GEF fits its logit surrogate on.
+Dataset SoftLabelData(size_t n, Rng* rng) {
+  Dataset d = MixedData(n, rng);
+  std::vector<double> p = d.targets();
+  for (double& v : p) {
+    v = 1.0 / (1.0 + std::exp(-2.0 * (v - 1.0) + rng->Normal(0.0, 0.5)));
+  }
+  d.set_targets(std::move(p));
   return d;
 }
 
@@ -224,28 +239,35 @@ TEST(GamFastpathTest, CenteredWorkspaceMatchesExplicitCentering) {
 }
 
 TEST(GamFastpathTest, FitBitIdenticalAcrossThreadCounts) {
-  Rng rng(405);
-  Dataset data = MixedData(900, &rng);
-  GamConfig config = FastpathConfig();
+  // The logit input also covers PIRLS: its stopping test and its warm
+  // starts must not depend on the thread count.
+  for (LinkType link : {LinkType::kIdentity, LinkType::kLogit}) {
+    SCOPED_TRACE(link == LinkType::kIdentity ? "identity" : "logit");
+    Rng rng(405);
+    Dataset data = link == LinkType::kIdentity ? MixedData(900, &rng)
+                                               : SoftLabelData(900, &rng);
+    GamConfig config = FastpathConfig();
+    config.link = link;
 
-  SetNumThreads(1);
-  Gam serial;
-  ASSERT_TRUE(serial.Fit(MixedTerms(), data, config));
-  SetNumThreads(4);
-  Gam parallel;
-  ASSERT_TRUE(parallel.Fit(MixedTerms(), data, config));
-  SetNumThreads(0);
+    SetNumThreads(1);
+    Gam serial;
+    ASSERT_TRUE(serial.Fit(MixedTerms(), data, config));
+    SetNumThreads(4);
+    Gam parallel;
+    ASSERT_TRUE(parallel.Fit(MixedTerms(), data, config));
+    SetNumThreads(0);
 
-  // The serialized state covers coefficients, centers, per-term λ,
-  // covariance and importances at full precision: string equality means
-  // every fitted double is bit-identical.
-  EXPECT_EQ(serial.lambda(), parallel.lambda());
-  EXPECT_EQ(serial.gcv_score(), parallel.gcv_score());
-  ASSERT_EQ(serial.term_lambdas().size(), parallel.term_lambdas().size());
-  for (size_t t = 0; t < serial.term_lambdas().size(); ++t) {
-    EXPECT_EQ(serial.term_lambdas()[t], parallel.term_lambdas()[t]);
+    // The serialized state covers coefficients, centers, per-term λ,
+    // covariance and importances at full precision: string equality
+    // means every fitted double is bit-identical.
+    EXPECT_EQ(serial.lambda(), parallel.lambda());
+    EXPECT_EQ(serial.gcv_score(), parallel.gcv_score());
+    ASSERT_EQ(serial.term_lambdas().size(), parallel.term_lambdas().size());
+    for (size_t t = 0; t < serial.term_lambdas().size(); ++t) {
+      EXPECT_EQ(serial.term_lambdas()[t], parallel.term_lambdas()[t]);
+    }
+    EXPECT_EQ(GamToString(serial), GamToString(parallel));
   }
-  EXPECT_EQ(GamToString(serial), GamToString(parallel));
 }
 
 TEST(GamFastpathTest, IdentityFitBuildsGramExactlyOnce) {
@@ -266,6 +288,50 @@ TEST(GamFastpathTest, IdentityFitBuildsGramExactlyOnce) {
   // Sanity: the grid actually ran (one GCV point per candidate).
   EXPECT_GE(aggregates.metric_points.at("gam.gcv_trace"),
             config.lambda_grid.size());
+}
+
+// Runs one traced Fit and returns its aggregates.
+obs::Aggregates TracedFit(const Dataset& data, const GamConfig& config) {
+  obs::Enable("");
+  obs::Flush();  // clear anything previous tests recorded
+  Gam gam;
+  EXPECT_TRUE(gam.Fit(MixedTerms(), data, config));
+  obs::Aggregates aggregates = obs::Flush();
+  obs::Disable();
+  return aggregates;
+}
+
+TEST(GamFastpathTest, LogitFitStopsOnFlatDeviance) {
+  Rng rng(408);
+  Dataset data = SoftLabelData(700, &rng);
+  GamConfig config = FastpathConfig();  // 8-λ grid + coordinate descent
+  config.link = LinkType::kLogit;
+  obs::Aggregates aggregates = TracedFit(data, config);
+
+  // Every candidate meets pirls_tol before max_pirls_iters. Without the
+  // label noise the deviance falls to ~1.4, near the jitter floor of
+  // DESIGN.md §3.13, and one candidate there does reach the cap.
+  EXPECT_EQ(aggregates.Counter("gam.pirls_capped"), 0.0);
+  // PIRLS builds one Gram per iteration. A stop on the β difference
+  // runs nearly every candidate to the 30-iteration cap (699 builds on
+  // this fit): each term's constant direction is left free by the
+  // centered design and the penalty, so β drifts while η stays put.
+  // The deviance stop alone takes 124 builds, with warm starts 81.
+  EXPECT_LE(aggregates.Counter("gam.gram_builds"), 100.0);
+}
+
+TEST(GamFastpathTest, CappedPirlsIsCounted) {
+  Rng rng(409);
+  Dataset data = SoftLabelData(500, &rng);
+  GamConfig config;
+  config.link = LinkType::kLogit;
+  config.lambda_grid = {1e-2, 1.0};
+  config.max_pirls_iters = 1;  // no candidate can see a flat deviance
+  obs::Aggregates aggregates = TracedFit(data, config);
+
+  // One build per candidate, and each one stopped by the cap.
+  EXPECT_EQ(aggregates.Counter("gam.gram_builds"), 2.0);
+  EXPECT_EQ(aggregates.Counter("gam.pirls_capped"), 2.0);
 }
 
 TEST(GamFastpathTest, TraceOfProductSolveMatchesExplicitInverse) {

@@ -343,6 +343,16 @@ TEST(GamFitDeathTest, MoreCoefficientsThanRowsAborts) {
   EXPECT_DEATH(gam.Fit(SplineTerms(1, 20), d, config), "coefficients");
 }
 
+TEST(GamFitDeathTest, NoPirlsIterationAborts) {
+  Rng rng(138);
+  Dataset data = AdditiveSineData(200, &rng);
+  GamConfig config;
+  config.link = LinkType::kLogit;
+  config.max_pirls_iters = 0;
+  Gam gam;
+  EXPECT_DEATH(gam.Fit(SplineTerms(2), data, config), "max_pirls_iters");
+}
+
 TEST(GamFitDeathTest, PredictBeforeFitAborts) {
   Gam gam;
   EXPECT_DEATH(gam.PredictRaw({0.5}), "unfitted");
