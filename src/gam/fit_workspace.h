@@ -1,13 +1,15 @@
 #ifndef GEF_GAM_FIT_WORKSPACE_H_
 #define GEF_GAM_FIT_WORKSPACE_H_
 
-// Shared per-Fit state for the GAM fast path (DESIGN.md §3.13). A GCV
-// grid search refits the same design under different penalties: the
-// design, its Gram and RHS, the per-term penalty blocks, and the fixed
-// ridge are all λ-independent, so the fitter builds them ONCE here and
-// every candidate fit reuses them. With the identity link that makes the
-// whole grid search (and the per-term coordinate descent after it) cost
-// one Gram build total — the `gam.gram_builds` obs counter pins this.
+// Shared per-Fit state for the GAM fast path (DESIGN.md §3.13). Each
+// PIRLS step runs a GCV search that refits the same design under
+// different penalties. The design, the per-term penalty blocks and the
+// fixed ridge depend on neither λ nor the PIRLS weights, so the fitter
+// builds them ONCE here; each step then builds one centered Gram and RHS
+// from them, which its whole search reuses. The identity link takes one
+// step, so its grid search (and the per-term coordinate descent after
+// it) costs one Gram build total — the `gam.gram_builds` obs counter
+// pins this.
 //
 // The design is held block-sparse and UNCENTERED: subtracting the column
 // means would turn every zero into a dense entry. Instead the centered
@@ -32,7 +34,7 @@
 namespace gef {
 
 /// Everything a Fit needs that does not depend on λ or on the PIRLS
-/// weights. Built once per Fit, shared across the whole candidate grid.
+/// weights. Built once per Fit, shared by every step and candidate.
 struct FitWorkspace {
   SparseDesign design;
   std::vector<double> centers;
@@ -53,8 +55,9 @@ FitWorkspace BuildFitWorkspace(const TermList& terms, const Dataset& data,
 
 /// Centered weighted Gram (X−1cᵀ)ᵀW(X−1cᵀ) from the raw sparse design.
 /// `w` may be empty (unit weights). Increments the `gam.gram_builds`
-/// counter — the fast-path regression test asserts an identity-link Fit
-/// performs exactly one build across its whole λ grid.
+/// counter once per PIRLS step — the fast-path regression test asserts
+/// an identity-link Fit performs exactly one build across its whole λ
+/// grid.
 Matrix CenteredGramWeighted(const FitWorkspace& ws, const Vector& w);
 
 /// Centered weighted RHS (X−1cᵀ)ᵀWy. `w` may be empty.

@@ -14,6 +14,13 @@
 namespace gef {
 namespace {
 
+// PIRLS stops once the binomial deviance is flat: |dev_t − dev_{t−1}| ≤
+// kPirlsTol · (|dev_t| + 0.1), R's glm.fit rule.
+constexpr double kPirlsTol = 1e-8;
+// Multiplicative steps the per-term coordinate descent tries on each
+// term's λ.
+constexpr double kPerTermFactors[] = {0.1, 10.0};
+
 // Binomial deviance of η against y. Summed serially, so the PIRLS stopping
 // test and the GCV score are the same at every thread count.
 double LogitDeviance(const Vector& y, const Vector& eta) {
@@ -25,17 +32,25 @@ double LogitDeviance(const Vector& y, const Vector& eta) {
   return deviance;
 }
 
+// GCV score n·rss/(n − edof)², guarded against tiny-sample
+// over-parameterization.
+double Gcv(double n, double rss, double edof) {
+  double denom = n - edof;
+  if (denom < 1.0) denom = 1.0;
+  return n * rss / (denom * denom);
+}
+
 }  // namespace
 
-Gam::FitCandidate Gam::FitIdentity(FitWorkspace* ws, const Matrix& gram,
-                                   const Vector& rhs, const Vector& y,
-                                   const std::vector<double>& lambdas) const {
+Gam::FitCandidate Gam::FitWorkingModel(
+    FitWorkspace* ws, const Matrix& gram, const Vector& rhs,
+    const Vector& z, const Vector& w,
+    const std::vector<double>& lambdas) const {
   FitCandidate fit;
 
-  // Gram and RHS were hoisted by the caller — they are λ-independent, so
-  // the whole GCV grid and the coordinate descent after it reuse one
-  // build. Only the penalty assembly and the factorization remain per
-  // candidate.
+  // Gram and RHS are λ-independent within a step, so the whole GCV grid
+  // and the coordinate descent after it reuse one build. Only the
+  // penalty assembly and the factorization remain per candidate.
   const Matrix& penalized =
       AssemblePenalized(ws, gram, terms_, layout_, lambdas);
   fit.factor = Cholesky::Factorize(penalized);
@@ -47,79 +62,11 @@ Gam::FitCandidate Gam::FitIdentity(FitWorkspace* ws, const Matrix& gram,
   fit.edof = fit.factor->TraceOfProductSolve(gram);
 
   Vector fitted = CenteredMatVec(*ws, fit.beta);
-  for (size_t i = 0; i < y.size(); ++i) {
-    double r = y[i] - fitted[i];
-    fit.rss += r * r;
+  for (size_t i = 0; i < z.size(); ++i) {
+    double r = z[i] - fitted[i];
+    fit.rss += w.empty() ? r * r : w[i] * r * r;
   }
-
-  const double n = static_cast<double>(y.size());
-  double denom = n - fit.edof;
-  if (denom < 1.0) denom = 1.0;  // guard tiny-sample over-parameterization
-  fit.gcv = n * fit.rss / (denom * denom);
-  fit.ok = true;
-  return fit;
-}
-
-Gam::FitCandidate Gam::FitLogit(FitWorkspace* ws, const Vector& y,
-                                const std::vector<double>& lambdas,
-                                const GamConfig& config,
-                                const Vector& start_eta) const {
-  FitCandidate fit;
-  const size_t n = y.size();
-
-  // PIRLS: iterate weighted penalized LS on the working response. The
-  // weights change every iteration, so the Gram cannot be hoisted here —
-  // but each build is the O(n·nnz²) sparse kernel, not O(n·p²). A warm
-  // start (the η of a neighbouring candidate) replaces the y-based one.
-  Vector eta = start_eta;
-  if (eta.empty()) {
-    eta.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      double mu0 = std::clamp((y[i] + 0.5) / 2.0, 0.01, 0.99);
-      eta[i] = LinkApply(LinkType::kLogit, mu0);
-    }
-  }
-  double deviance = LogitDeviance(y, eta);
-
-  Matrix gram;
-  Vector weights(n), working(n);
-  bool converged = false;
-  for (int iter = 0; iter < config.max_pirls_iters && !converged; ++iter) {
-    for (size_t i = 0; i < n; ++i) {
-      double mu = LinkInverse(LinkType::kLogit, eta[i]);
-      double w = LinkVariance(LinkType::kLogit, mu);
-      weights[i] = std::max(w, 1e-10);
-      working[i] = eta[i] + (y[i] - mu) / weights[i];
-    }
-    gram = CenteredGramWeighted(*ws, weights);
-    Vector rhs = CenteredGramWeightedRhs(*ws, weights, working);
-    const Matrix& penalized =
-        AssemblePenalized(ws, gram, terms_, layout_, lambdas);
-    fit.factor = Cholesky::Factorize(penalized);
-    if (!fit.factor.has_value()) return fit;
-    fit.beta = fit.factor->Solve(rhs);
-    eta = CenteredMatVec(*ws, fit.beta);
-
-    // Stop once the deviance is flat (R's glm.fit rule). Successive β
-    // are no test: each term's constant direction is null in both the
-    // centered design and the penalty, so only the factorization jitter
-    // pins it, and β drifts along it without moving η.
-    const double previous = deviance;
-    deviance = LogitDeviance(y, eta);
-    converged = std::fabs(deviance - previous) <=
-                config.pirls_tol * (std::fabs(deviance) + 0.1);
-  }
-  if (!converged) GEF_OBS_COUNTER_ADD("gam.pirls_capped", 1);
-
-  fit.edof = fit.factor->TraceOfProductSolve(gram);
-  fit.eta = std::move(eta);
-
-  // Deviance-based GCV for the binomial family.
-  fit.rss = deviance;
-  const double dn = static_cast<double>(n);
-  double denom = dn - fit.edof;
-  if (denom < 1.0) denom = 1.0;
-  fit.gcv = dn * deviance / (denom * denom);
+  fit.gcv = Gcv(static_cast<double>(z.size()), fit.rss, fit.edof);
   fit.ok = true;
   return fit;
 }
@@ -130,6 +77,7 @@ bool Gam::Fit(TermList terms, const Dataset& data, const GamConfig& config) {
   GEF_CHECK(data.has_targets());
   GEF_CHECK_GT(data.num_rows(), 0u);
   GEF_CHECK(!config.lambda_grid.empty());
+  for (double lambda : config.lambda_grid) GEF_CHECK_GT(lambda, 0.0);
   GEF_CHECK_GE(config.max_pirls_iters, 1);
 
   terms_ = std::move(terms);
@@ -141,83 +89,115 @@ bool Gam::Fit(TermList terms, const Dataset& data, const GamConfig& config) {
                                           << data.num_rows() << ")");
   feature_names_ = data.feature_names();
 
-  // Everything λ-independent — block-sparse design, centers, penalty
-  // blocks, fixed ridge, scratch — is built once and shared by every
-  // candidate fit on the grid and in the coordinate descent.
+  // Everything λ- and weight-independent — block-sparse design, centers,
+  // penalty blocks, fixed ridge, scratch — is built once per Fit.
   FitWorkspace ws = BuildFitWorkspace(terms_, data, layout_);
   centers_ = ws.centers;
 
   const Vector& y = data.targets();
-  Matrix gram;
-  Vector rhs;
-  if (link_ == LinkType::kIdentity) {
-    // With unit weights the Gram and RHS are also λ-independent: one
-    // build covers the whole search (gam.gram_builds == 1).
-    gram = CenteredGramWeighted(ws, {});
-    rhs = CenteredGramWeightedRhs(ws, {}, y);
-  }
-  auto fit_with = [&](const std::vector<double>& lambdas,
-                      const Vector& start_eta) {
-    return link_ == LinkType::kIdentity
-               ? FitIdentity(&ws, gram, rhs, y, lambdas)
-               : FitLogit(&ws, y, lambdas, config, start_eta);
-  };
+  const size_t n = y.size();
+  const bool logit = link_ == LinkType::kLogit;
 
-  // Stage 1: the paper's shared-λ GCV grid search. Each grid point starts
-  // from the previous one.
+  // PIRLS by performance iteration: each step linearizes the model at η
+  // into a working response z with weights w, builds one centered Gram
+  // and RHS, and runs the whole GCV search on that working linear model.
+  // The identity link needs one step, with unit weights and z = y.
+  Vector eta, weights, working;
+  double deviance = 0.0;
+  if (logit) {
+    eta.resize(n);
+    weights.resize(n);
+    working.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      double mu0 = std::clamp((y[i] + 0.5) / 2.0, 0.01, 0.99);
+      eta[i] = LinkApply(LinkType::kLogit, mu0);
+    }
+    deviance = LogitDeviance(y, eta);
+  }
+  const Vector& z = logit ? working : y;
+
   FitCandidate best;
-  double best_gcv = std::numeric_limits<double>::infinity();
   double best_lambda = 0.0;
-  Vector previous_eta;
-  for (double lambda : config.lambda_grid) {
-    GEF_CHECK_GT(lambda, 0.0);
-    std::vector<double> lambdas(terms_.size(), lambda);
-    FitCandidate candidate = fit_with(lambdas, previous_eta);
-    if (candidate.ok) {
-      GEF_OBS_METRIC("gam.gcv_trace", lambda, candidate.gcv);
-      previous_eta = candidate.eta;
+  std::vector<double> lambdas;
+  for (int step = 1;; ++step) {
+    if (logit) {
+      for (size_t i = 0; i < n; ++i) {
+        double mu = LinkInverse(LinkType::kLogit, eta[i]);
+        weights[i] = std::max(LinkVariance(LinkType::kLogit, mu), 1e-10);
+        working[i] = eta[i] + (y[i] - mu) / weights[i];
+      }
     }
-    if (candidate.ok && candidate.gcv < best_gcv) {
-      best_gcv = candidate.gcv;
-      best_lambda = lambda;
-      best = std::move(candidate);
-    }
-  }
-  if (!best.ok) return false;
-  std::vector<double> lambdas(terms_.size(), best_lambda);
+    const Matrix gram = CenteredGramWeighted(ws, weights);
+    const Vector rhs = CenteredGramWeightedRhs(ws, weights, z);
+    auto fit_with = [&](const std::vector<double>& trial) {
+      return FitWorkingModel(&ws, gram, rhs, z, weights, trial);
+    };
 
-  // Stage 2 (extension): per-term coordinate descent on GCV. Each trial
-  // starts from the current best.
-  if (config.per_term_lambda) {
-    for (int round = 0; round < config.per_term_rounds; ++round) {
-      bool improved = false;
-      for (size_t t = 0; t < terms_.size(); ++t) {
-        if (terms_[t]->type() == TermType::kIntercept) continue;
-        for (double factor : config.per_term_factors) {
-          std::vector<double> trial = lambdas;
-          trial[t] = lambdas[t] * factor;
-          FitCandidate candidate = fit_with(trial, best.eta);
-          if (candidate.ok && candidate.gcv < best_gcv - 1e-12) {
-            best_gcv = candidate.gcv;
-            best = std::move(candidate);
-            lambdas = trial;
-            improved = true;
+    // Stage 1: the paper's shared-λ GCV grid search.
+    best = FitCandidate();
+    double best_gcv = std::numeric_limits<double>::infinity();
+    for (double lambda : config.lambda_grid) {
+      FitCandidate candidate =
+          fit_with(std::vector<double>(terms_.size(), lambda));
+      if (!candidate.ok) continue;
+      GEF_OBS_METRIC("gam.gcv_trace", lambda, candidate.gcv);
+      if (candidate.gcv < best_gcv) {
+        best_gcv = candidate.gcv;
+        best_lambda = lambda;
+        best = std::move(candidate);
+      }
+    }
+    if (!best.ok) return false;
+    lambdas.assign(terms_.size(), best_lambda);
+
+    // Stage 2 (extension): per-term coordinate descent on GCV.
+    if (config.per_term_lambda) {
+      for (int round = 0; round < config.per_term_rounds; ++round) {
+        bool improved = false;
+        for (size_t t = 0; t < terms_.size(); ++t) {
+          if (terms_[t]->type() == TermType::kIntercept) continue;
+          for (double factor : kPerTermFactors) {
+            std::vector<double> trial = lambdas;
+            trial[t] = lambdas[t] * factor;
+            FitCandidate candidate = fit_with(trial);
+            if (candidate.ok && candidate.gcv < best_gcv - 1e-12) {
+              best_gcv = candidate.gcv;
+              best = std::move(candidate);
+              lambdas = trial;
+              improved = true;
+            }
           }
         }
+        if (!improved) break;
       }
-      if (!improved) break;
+    }
+
+    if (!logit) break;
+    // Stop once the deviance is flat (R's glm.fit rule). Successive β
+    // are no test: each term's constant direction is null in both the
+    // centered design and the penalty, so only the factorization jitter
+    // pins it, and β drifts along it without moving η.
+    eta = CenteredMatVec(ws, best.beta);
+    const double previous = deviance;
+    deviance = LogitDeviance(y, eta);
+    if (std::fabs(deviance - previous) <=
+        kPirlsTol * (std::fabs(deviance) + 0.1)) {
+      break;
+    }
+    if (step == config.max_pirls_iters) {
+      GEF_OBS_COUNTER_ADD("gam.pirls_capped", 1);
+      break;
     }
   }
 
   beta_ = std::move(best.beta);
   lambda_ = best_lambda;
   lambdas_ = std::move(lambdas);
-  gcv_score_ = best.gcv;
   edof_ = best.edof;
-  const double n = static_cast<double>(data.num_rows());
-  scale_ = link_ == LinkType::kIdentity
-               ? best.rss / std::max(1.0, n - best.edof)
-               : 1.0;
+  // The logit GCV is the deviance GCV of the final η, with φ = 1.
+  const double dn = static_cast<double>(n);
+  gcv_score_ = logit ? Gcv(dn, deviance, best.edof) : best.gcv;
+  scale_ = logit ? 1.0 : best.rss / std::max(1.0, dn - best.edof);
   // The covariance (posterior shape) is the one place the inverse is
   // still needed — materialized once for the winner, never per candidate.
   covariance_ = best.factor->Inverse();

@@ -4,7 +4,9 @@
 // The Generalized Additive Model Γ = α + Σ s_j(x_j) + Σ s_jk(x_j, x_k)
 // (paper Sec. 3.1/3.5). Fitting minimizes the penalized least-squares
 // objective J via PIRLS; the shared smoothing parameter λ (the paper sets
-// λ_1 = … = λ_{p+q}) is selected by Generalized Cross Validation.
+// λ_1 = … = λ_{p+q}) is selected by Generalized Cross Validation inside
+// every PIRLS step (performance iteration, Gu 1992; Wood 2004). The
+// identity link is the one-step case of the same loop.
 
 #include <memory>
 #include <optional>
@@ -28,30 +30,22 @@ StatusOr<Gam> GamFromString(const std::string& text);
 std::string GamToString(const Gam& gam);
 /// Defined in util/validate.h; inspects the fitted internals.
 Status ValidateGam(const Gam& gam);
-/// Defined in gam/backfit.h.
-struct BackfitConfig;
-Gam FitGamByBackfitting(TermList terms, const Dataset& data,
-                        const BackfitConfig& config);
 
 struct GamConfig {
   LinkType link = LinkType::kIdentity;
   /// Candidate shared smoothing parameters; GCV picks one.
   std::vector<double> lambda_grid = {1e-3, 1e-2, 1e-1, 1.0,
                                      1e1,  1e2,  1e3};
-  /// Cap on PIRLS iterations per candidate fit (logit link); at least 1.
+  /// Cap on PIRLS iterations per fit (logit link); at least 1. The fit
+  /// stops earlier once the binomial deviance is flat.
   int max_pirls_iters = 30;
-  /// Relative change of the binomial deviance between PIRLS iterations
-  /// at which a candidate stops: |dev_t − dev_{t−1}| ≤ pirls_tol ·
-  /// (|dev_t| + 0.1), R's glm.fit rule.
-  double pirls_tol = 1e-8;
 
   /// Extension beyond the paper (which fixes λ_1 = … = λ_{p+q}):
   /// after the shared-λ GCV search, refine a *per-term* λ vector by
-  /// coordinate descent on GCV, trying multiplicative steps from
-  /// `per_term_factors` for each term in turn, `per_term_rounds` times.
+  /// coordinate descent on GCV, scaling each term's λ by 0.1 and 10 in
+  /// turn, `per_term_rounds` times.
   bool per_term_lambda = false;
   int per_term_rounds = 2;
-  std::vector<double> per_term_factors = {0.1, 10.0};
 };
 
 /// Pointwise partial effect with its 95% Bayesian credible interval
@@ -74,7 +68,8 @@ class Gam {
 
   /// Fits the model on `data` (features + targets) with the given term
   /// list (ownership transferred). Fatal on dimension errors; returns
-  /// false only if every λ in the grid yields a singular system.
+  /// false only if, at some PIRLS step, every λ in the grid yields a
+  /// singular system.
   bool Fit(TermList terms, const Dataset& data, const GamConfig& config);
 
   bool fitted() const { return fitted_; }
@@ -140,9 +135,6 @@ class Gam {
   friend std::string GamToString(const Gam& gam);
   // The model validator checks centers_/covariance_ invariants.
   friend Status ValidateGam(const Gam& gam);
-  // The alternative fitting engine assembles the same fitted state.
-  friend Gam FitGamByBackfitting(TermList terms, const Dataset& data,
-                                 const BackfitConfig& config);
 
   struct FitCandidate {
     Vector beta;
@@ -150,30 +142,27 @@ class Gam {
     /// (its inverse) is materialized once for the final winner only —
     /// never on the GCV grid, where EDoF comes from triangular solves.
     std::optional<Cholesky> factor;
-    /// Final linear predictor of a logit fit (empty for the identity
-    /// link); the warm start of the next PIRLS candidate.
-    Vector eta;
     double gcv = 0.0;
     double edof = 0.0;
+    /// Weighted residual sum of squares Σwᵢ(zᵢ − η̂ᵢ)² of the working
+    /// model (the plain RSS for the identity link).
     double rss = 0.0;
     bool ok = false;
   };
 
-  // Candidate fits share the λ-independent workspace (sparse design,
-  // hoisted Gram/RHS for the identity link, penalty blocks, scratch);
-  // only the per-term λ vector and, for PIRLS, the starting η (empty:
-  // start from y) vary between calls.
-  FitCandidate FitIdentity(FitWorkspace* ws, const Matrix& gram,
-                           const Vector& rhs, const Vector& y,
-                           const std::vector<double>& lambdas) const;
-  FitCandidate FitLogit(FitWorkspace* ws, const Vector& y,
-                        const std::vector<double>& lambdas,
-                        const GamConfig& config,
-                        const Vector& start_eta) const;
+  // One penalized least-squares fit of a PIRLS step's working model —
+  // response z, weights w (empty: unit weights), and its centered Gram
+  // and RHS, built once per step — at the per-term λ vector `lambdas`,
+  // scored by GCV n·Σwᵢ(zᵢ − η̂ᵢ)²/(n − edof)². Every candidate of the
+  // step shares the λ-independent workspace.
+  FitCandidate FitWorkingModel(FitWorkspace* ws, const Matrix& gram,
+                               const Vector& rhs, const Vector& z,
+                               const Vector& w,
+                               const std::vector<double>& lambdas) const;
 
   /// Recomputes min_row_width_ from terms_. Every site that assembles
-  /// fitted state (Fit, GamFromString, FitGamByBackfitting) calls this
-  /// right before flipping fitted_.
+  /// fitted state (Fit, GamFromString) calls this right before flipping
+  /// fitted_.
   void SetMinRowWidth();
 
   bool fitted_ = false;

@@ -244,28 +244,27 @@ Status ValidateGam(const Gam& gam) {
         "edof/gcv/scale summary statistics must be finite");
   }
 
-  // Posterior covariance (absent for backfit-assembled models).
+  // Posterior covariance: every producer sets it, and TermEffect indexes
+  // it unchecked.
   const Matrix& cov = gam.covariance_;
-  if (!cov.empty()) {
-    if (cov.rows() != total_coeffs || cov.cols() != total_coeffs) {
+  if (cov.rows() != total_coeffs || cov.cols() != total_coeffs) {
+    std::ostringstream msg;
+    msg << "covariance is " << cov.rows() << "x" << cov.cols()
+        << ", term layout needs " << total_coeffs << "x" << total_coeffs;
+    return Invalid(msg);
+  }
+  if (Status s = ValidateMatrixFinite(cov, "covariance"); !s.ok()) {
+    return s;
+  }
+  if (!IsSymmetric(cov, 1e-6)) {
+    return Status::InvalidArgument("covariance is not symmetric");
+  }
+  for (size_t i = 0; i < cov.rows(); ++i) {
+    if (cov(i, i) < 0.0) {
       std::ostringstream msg;
-      msg << "covariance is " << cov.rows() << "x" << cov.cols()
-          << ", term layout needs " << total_coeffs << "x" << total_coeffs;
+      msg << "covariance diagonal entry " << i
+          << " is negative: " << cov(i, i);
       return Invalid(msg);
-    }
-    if (Status s = ValidateMatrixFinite(cov, "covariance"); !s.ok()) {
-      return s;
-    }
-    if (!IsSymmetric(cov, 1e-6)) {
-      return Status::InvalidArgument("covariance is not symmetric");
-    }
-    for (size_t i = 0; i < cov.rows(); ++i) {
-      if (cov(i, i) < 0.0) {
-        std::ostringstream msg;
-        msg << "covariance diagonal entry " << i
-            << " is negative: " << cov(i, i);
-        return Invalid(msg);
-      }
     }
   }
   return Status::Ok();

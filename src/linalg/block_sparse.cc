@@ -145,79 +145,6 @@ Vector ColumnSums(const BlockSparseMatrix& a) {
   return GramWeightedRhs(a, {}, Vector(a.rows(), 1.0));
 }
 
-Matrix GramWeightedSlots(const BlockSparseMatrix& a, int slot_begin,
-                         int slot_end, int col_base, int block_cols,
-                         const Vector& w) {
-  GEF_CHECK(0 <= slot_begin && slot_begin < slot_end &&
-            slot_end <= a.num_slots());
-  GEF_CHECK(w.empty() || w.size() == a.rows());
-  auto chunk_gram = [&](size_t chunk_begin, size_t chunk_end) {
-    Matrix g(block_cols, block_cols);
-    for (size_t i = chunk_begin; i < chunk_end; ++i) {
-      const double wi = w.empty() ? 1.0 : w[i];
-      if (wi == 0.0) continue;
-      const double* vals = a.RowValues(i);
-      const int* starts = a.RowStarts(i);
-      for (int s = slot_begin; s < slot_end; ++s) {
-        const BlockSparseMatrix::Slot& sa = a.slot(s);
-        for (int j = 0; j < sa.length; ++j) {
-          const double v = wi * vals[sa.value_offset + j];
-          if (v == 0.0) continue;
-          double* grow = g.Row(starts[s] - col_base + j);
-          for (int k = j; k < sa.length; ++k) {
-            grow[starts[s] - col_base + k] +=
-                v * vals[sa.value_offset + k];
-          }
-          for (int t = s + 1; t < slot_end; ++t) {
-            const BlockSparseMatrix::Slot& sb = a.slot(t);
-            double* gcol = grow + (starts[t] - col_base);
-            const double* bvals = vals + sb.value_offset;
-            for (int k = 0; k < sb.length; ++k) gcol[k] += v * bvals[k];
-          }
-        }
-      }
-    }
-    return g;
-  };
-  Matrix g = ParallelReduce<Matrix>(
-      0, a.rows(), kGramGrain, Matrix(block_cols, block_cols), chunk_gram,
-      [](Matrix* acc, Matrix part) { acc->Add(part); });
-  for (int j = 0; j < block_cols; ++j) {
-    for (int k = j + 1; k < block_cols; ++k) g(k, j) = g(j, k);
-  }
-  return g;
-}
-
-Vector MatTVecSlots(const BlockSparseMatrix& a, int slot_begin,
-                    int slot_end, int col_base, int block_cols,
-                    const Vector& x) {
-  GEF_CHECK_EQ(a.rows(), x.size());
-  GEF_CHECK(0 <= slot_begin && slot_begin < slot_end &&
-            slot_end <= a.num_slots());
-  auto chunk_rhs = [&](size_t chunk_begin, size_t chunk_end) {
-    Vector r(block_cols, 0.0);
-    for (size_t i = chunk_begin; i < chunk_end; ++i) {
-      const double xi = x[i];
-      if (xi == 0.0) continue;
-      const double* vals = a.RowValues(i);
-      const int* starts = a.RowStarts(i);
-      for (int s = slot_begin; s < slot_end; ++s) {
-        const BlockSparseMatrix::Slot& slot = a.slot(s);
-        for (int k = 0; k < slot.length; ++k) {
-          r[starts[s] - col_base + k] +=
-              xi * vals[slot.value_offset + k];
-        }
-      }
-    }
-    return r;
-  };
-  return ParallelReduce<Vector>(
-      0, a.rows(), kVectorGrain, Vector(block_cols, 0.0), chunk_rhs,
-      [](Vector* acc, Vector part) {
-        for (size_t j = 0; j < acc->size(); ++j) (*acc)[j] += part[j];
-      });
-}
-
 Vector MatVecSlots(const BlockSparseMatrix& a, int slot_begin,
                    int slot_end, int col_base, const Vector& beta) {
   GEF_CHECK(0 <= slot_begin && slot_begin < slot_end &&

@@ -101,24 +101,10 @@ Vector MatTVec(const BlockSparseMatrix& a, const Vector& x);
 /// Per-column sums Aᵀ 1 (the design-centering statistic).
 Vector ColumnSums(const BlockSparseMatrix& a);
 
-/// Column-range views: the kernels below operate on the slots
-/// [slot_begin, slot_end) only — a contiguous column block (e.g. one GAM
-/// term) — with output indices rebased by `col_base` (the block's first
-/// column) into a block-local [0, block_cols) space. They are what lets
-/// the backfitting engine work per-term on the shared design without
-/// copying term slices.
-
-/// Block Gram: Bᵀ diag(w) B where B is the slot range's column block.
-Matrix GramWeightedSlots(const BlockSparseMatrix& a, int slot_begin,
-                         int slot_end, int col_base, int block_cols,
-                         const Vector& w);
-
-/// Bᵀ x over the slot range (x has a.rows() entries).
-Vector MatTVecSlots(const BlockSparseMatrix& a, int slot_begin,
-                    int slot_end, int col_base, int block_cols,
-                    const Vector& x);
-
-/// B beta over the slot range (beta has block_cols entries).
+/// B beta, where B is the column block that the slots [slot_begin,
+/// slot_end) cover (e.g. one GAM term) and `col_base` its first column;
+/// beta has one entry per block column. A view: the block is never copied
+/// out of the design.
 Vector MatVecSlots(const BlockSparseMatrix& a, int slot_begin,
                    int slot_end, int col_base, const Vector& beta);
 

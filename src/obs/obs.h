@@ -4,7 +4,7 @@
 // Pipeline observability: nestable wall-time spans, named counters /
 // gauges / metric series, and a JSONL trace emitter. Every stage of the
 // GEF pipeline (Alg. 1: feature selection → domain sampling → D*
-// labeling → interaction selection → GAM backfit) plus the forest
+// labeling → interaction selection → GAM fit) plus the forest
 // trainers and the SHAP/LIME/PDP baselines record through this layer, so
 // the bench harness (tools/bench_report) can attribute wall-time and
 // memory to stages instead of reporting one end-to-end number.

@@ -2,8 +2,9 @@
 // discrete outputs (selected features, selected interaction pairs,
 // categorical flags, domain sizes) are checked against values captured
 // at PR 3 time, plus a fidelity floor. Any change to forest training,
-// sampling, selection, or backfitting that shifts these is surfaced
-// here as an explicit diff to re-bless rather than silent drift.
+// sampling, selection, or GAM fitting that shifts these is surfaced
+// here as an explicit diff to re-bless rather than silent drift. The
+// surrogate's content hash is pinned the same way.
 //
 // The golden values are exact (EXPECT_EQ on integers): every stochastic
 // component draws from gef::Rng with fixed seeds and the parallel chunk
@@ -82,6 +83,11 @@ TEST(GoldenPipelineTest, SelectionsMatchBlessedValues) {
   // Blessed run: r2 = 0.9566, test rmse = 0.1603.
   EXPECT_GE(fidelity.r2, 0.94);
   EXPECT_LE(explanation->fidelity_rmse_test, 0.19);
+
+  // ---- Identity-link surrogate bits. The golden forest is a regression
+  // forest, so this pins every fitted double of the identity-link GAM
+  // (β, covariance, λ, importances) through its canonical text.
+  EXPECT_EQ(explanation->surrogate->ContentHash(), 0x42242d4846c416f2u);
 }
 
 TEST(GoldenPipelineTest, ReRunIsByteIdentical) {
