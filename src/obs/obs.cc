@@ -1,13 +1,13 @@
 #include "obs/obs.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <vector>
 
 #include "obs/rss.h"
+#include "util/json.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -86,24 +86,15 @@ uint64_t NowNs() {
           .count());
 }
 
-// Minimal JSON string escaping; names are repo-controlled literals, but
-// a stray quote must not corrupt the stream.
-std::string JsonEscape(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out.push_back('\\');
-    out.push_back(*p);
-  }
-  return out;
-}
-
-std::string JsonNumber(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return std::string(buf);
-}
-
 double ToMicros(uint64_t ns) { return static_cast<double>(ns) * 1e-3; }
+
+// The fields every named trace line starts with, up to `"t_us":...`.
+std::string EventHead(const char* type, const char* name, int tid,
+                      uint64_t t_ns) {
+  return std::string("{\"type\":\"") + type + "\",\"name\":\"" +
+         JsonEscapeString(name) + "\",\"tid\":" + std::to_string(tid) +
+         ",\"t_us\":" + JsonNumberText(ToMicros(t_ns));
+}
 
 }  // namespace
 
@@ -193,7 +184,7 @@ Aggregates Flush() {
   const uint64_t flush_ns = NowNs();
   if (write_file && file.is_open()) {
     file << "{\"type\":\"flush\",\"seq\":" << registry.flush_seq
-         << ",\"t_us\":" << JsonNumber(ToMicros(flush_ns))
+         << ",\"t_us\":" << JsonNumberText(ToMicros(flush_ns))
          << ",\"peak_rss_bytes\":" << out.peak_rss_bytes
          << ",\"current_rss_bytes\":" << CurrentRssBytes() << "}\n";
   }
@@ -221,11 +212,10 @@ Aggregates Flush() {
           ++stats.count;
           stats.total_ns += event.t_ns - begin->t_ns;
           if (write_file && file.is_open()) {
-            file << "{\"type\":\"span\",\"name\":\""
-                 << JsonEscape(begin->name) << "\",\"tid\":" << buffer->tid
-                 << ",\"t_us\":" << JsonNumber(ToMicros(begin->t_ns))
+            file << EventHead("span", begin->name, buffer->tid,
+                              begin->t_ns)
                  << ",\"dur_us\":"
-                 << JsonNumber(ToMicros(event.t_ns - begin->t_ns))
+                 << JsonNumberText(ToMicros(event.t_ns - begin->t_ns))
                  << ",\"depth\":" << open_spans.size() << "}\n";
           }
           break;
@@ -233,10 +223,9 @@ Aggregates Flush() {
         case Kind::kCounter:
           out.counters[event.name] += event.a;
           if (write_file && file.is_open()) {
-            file << "{\"type\":\"counter\",\"name\":\""
-                 << JsonEscape(event.name) << "\",\"tid\":" << buffer->tid
-                 << ",\"t_us\":" << JsonNumber(ToMicros(event.t_ns))
-                 << ",\"delta\":" << JsonNumber(event.a) << "}\n";
+            file << EventHead("counter", event.name, buffer->tid,
+                              event.t_ns)
+                 << ",\"delta\":" << JsonNumberText(event.a) << "}\n";
           }
           break;
         case Kind::kGauge: {
@@ -246,21 +235,18 @@ Aggregates Flush() {
             out.gauges[event.name] = event.a;
           }
           if (write_file && file.is_open()) {
-            file << "{\"type\":\"gauge\",\"name\":\""
-                 << JsonEscape(event.name) << "\",\"tid\":" << buffer->tid
-                 << ",\"t_us\":" << JsonNumber(ToMicros(event.t_ns))
-                 << ",\"value\":" << JsonNumber(event.a) << "}\n";
+            file << EventHead("gauge", event.name, buffer->tid, event.t_ns)
+                 << ",\"value\":" << JsonNumberText(event.a) << "}\n";
           }
           break;
         }
         case Kind::kMetric:
           ++out.metric_points[event.name];
           if (write_file && file.is_open()) {
-            file << "{\"type\":\"metric\",\"name\":\""
-                 << JsonEscape(event.name) << "\",\"tid\":" << buffer->tid
-                 << ",\"t_us\":" << JsonNumber(ToMicros(event.t_ns))
-                 << ",\"step\":" << JsonNumber(event.a)
-                 << ",\"value\":" << JsonNumber(event.b) << "}\n";
+            file << EventHead("metric", event.name, buffer->tid,
+                              event.t_ns)
+                 << ",\"step\":" << JsonNumberText(event.a)
+                 << ",\"value\":" << JsonNumberText(event.b) << "}\n";
           }
           break;
       }
@@ -274,11 +260,9 @@ Aggregates Flush() {
       ++stats.count;
       stats.total_ns += flush_ns - begin->t_ns;
       if (write_file && file.is_open()) {
-        file << "{\"type\":\"span\",\"name\":\"" << JsonEscape(begin->name)
-             << "\",\"tid\":" << buffer->tid
-             << ",\"t_us\":" << JsonNumber(ToMicros(begin->t_ns))
+        file << EventHead("span", begin->name, buffer->tid, begin->t_ns)
              << ",\"dur_us\":"
-             << JsonNumber(ToMicros(flush_ns - begin->t_ns))
+             << JsonNumberText(ToMicros(flush_ns - begin->t_ns))
              << ",\"depth\":" << open_spans.size()
              << ",\"open\":true}\n";
       }

@@ -10,9 +10,9 @@
 #include "gef/local_explanation.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "serve/json.h"
 #include "surrogate/registry.h"
 #include "util/hash.h"
+#include "util/json.h"
 
 namespace gef {
 namespace serve {

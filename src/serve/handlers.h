@@ -4,10 +4,10 @@
 // Endpoint logic for the serving API, decoupled from sockets: a pure
 // HttpRequest -> HttpResponse function over the shared serving state.
 // tests/serve_test.cc drives it directly with in-memory requests; the
-// HttpServer drives it from connection threads. Everything here must
-// therefore be thread-safe, and is: the registry/cache/batcher manage
-// their own synchronization and handlers only work on shared_ptr
-// snapshots.
+// reactor (serve/reactor.h) drives it from its shard threads and worker
+// threads concurrently. Everything here must therefore be thread-safe,
+// and is: the registry/cache/batcher manage their own synchronization
+// and handlers only work on shared_ptr snapshots.
 //
 // Routes:
 //   POST /v1/predict   {"row":[...]} or {"rows":[[...],...]}

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 
+#include "util/json.h"
+
 namespace gef {
 namespace serve {
 
@@ -86,13 +88,7 @@ std::string SerializeHttpResponse(const HttpResponse& response) {
 HttpResponse MakeErrorResponse(int status, const std::string& message) {
   HttpResponse response;
   response.status = status;
-  std::string escaped;
-  escaped.reserve(message.size());
-  for (char c : message) {
-    if (c == '"' || c == '\\') escaped.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) escaped.push_back(c);
-  }
-  response.body = "{\"error\":\"" + escaped + "\"}\n";
+  response.body = "{\"error\":\"" + JsonEscapeString(message) + "\"}\n";
   return response;
 }
 

@@ -65,7 +65,8 @@ const char* HttpStatusReason(int status);
 /// Serializes a response with Content-Length and Connection headers.
 std::string SerializeHttpResponse(const HttpResponse& response);
 
-/// Builds the canonical JSON error body {"error": "..."}.
+/// Builds the canonical JSON error body {"error": "..."}; the message is
+/// escaped with JsonEscapeString (util/json.h).
 HttpResponse MakeErrorResponse(int status, const std::string& message);
 
 /// Incremental request parser; one instance per connection.

@@ -7,9 +7,9 @@
 #include "forest/serialization.h"
 #include "gef/explanation_io.h"
 #include "obs/metrics.h"
-#include "serve/json.h"
 #include "store/store_reader.h"
 #include "util/hash.h"
+#include "util/json.h"
 #include "util/validate.h"
 
 namespace gef {

@@ -20,7 +20,7 @@
 #include "forest/forest.h"
 #include "obs/metrics.h"
 #include "serve/conn.h"
-#include "serve/json.h"
+#include "util/json.h"
 #include "util/shutdown.h"
 
 namespace gef {
@@ -227,7 +227,7 @@ class Reactor::Shard : public RequestSink {
   /// RequestSink: stage for the burst sweep, run inline (fast path),
   /// admit to the queue, or shed with 429.
   void OnRequest(Conn* conn, uint64_t seq, HttpRequest request) override {
-    if (options_.inline_fast_path && !MustQueue(request)) {
+    if (!MustQueue(request)) {
       if (TryStagePredict(conn, seq, request)) return;
       HttpResponse response = HandleRequest(context_, request);
       if (request.WantsClose() || ShutdownRequested()) {
@@ -255,11 +255,12 @@ class Reactor::Shard : public RequestSink {
   }
 
  private:
-  /// True when the handler may block the calling thread: explain can
-  /// fit a surrogate for seconds, and batched predicts wait out the
-  /// batch window. Those must run on workers; everything else is
-  /// microseconds and cheaper to run on the shard thread than to hand
-  /// off (run-to-completion).
+  /// The one dispatch rule. True when the handler may block the calling
+  /// thread: explain can fit a surrogate for seconds, and batched
+  /// predicts wait out the batch window. Those must run on workers.
+  /// Everything else is microseconds and runs to completion on the shard
+  /// thread: running it inline saves the two context switches of a hop
+  /// to a worker and back, which dominate single-row loopback latency.
   bool MustQueue(const HttpRequest& request) const {
     const std::string& target = request.target;
     if (target.compare(0, 11, "/v1/explain") == 0) return true;

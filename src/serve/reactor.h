@@ -153,14 +153,6 @@ class Reactor {
     int write_timeout_ms = 5000;
     /// Timer-wheel granularity; deadlines fire within one tick.
     int tick_ms = 100;
-    /// Run-to-completion fast path: execute requests that cannot block
-    /// (GET endpoints; /v1/predict when the micro-batcher is disabled)
-    /// inline on the shard thread instead of hopping to a worker and
-    /// back — two context switches saved per request, which dominates
-    /// single-row loopback latency. Blocking work (/v1/explain, which
-    /// may fit a surrogate for seconds; batched predicts, which wait
-    /// for a batch window) always goes through the bounded queue.
-    bool inline_fast_path = true;
     HttpLimits limits;
   };
 

@@ -19,8 +19,8 @@
 //  * The server must drain: stop accepting, finish in-flight requests,
 //    then exit 0. EnableDrainMode() switches the handler from
 //    "cleanup + _exit" to "set a flag and wake pollers via the
-//    self-pipe"; HttpServer polls ShutdownWakeFd() alongside its listen
-//    socket.
+//    self-pipe"; every reactor shard (serve/reactor.h) registers
+//    ShutdownWakeFd() in its epoll set beside its listen socket.
 //
 // Everything the handler touches is lock-free and allocation-free:
 // fixed char buffers, atomics, write() to a pre-created pipe, unlink(),

@@ -3,8 +3,11 @@
 // counts (ISSUE acceptance: `GEF_NUM_THREADS=1` and `=4` flush identical
 // span counts and counter totals), and the disabled-path cost bound.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "obs/obs.h"
 #include "obs/rss.h"
 #include "stats/rng.h"
+#include "util/json.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
@@ -111,44 +115,65 @@ TEST_F(ObsTest, JsonlEmissionParsesAndNests) {
     GEF_OBS_SPAN("obs_test.depth1");
     GEF_OBS_COUNTER_ADD("obs_test.jsonl_counter", 3.0);
   }
+  {
+    // What JSON cannot carry raw: a newline inside a name, and
+    // non-finite values (written as null).
+    GEF_OBS_SPAN("obs_test.two\nlines");
+    GEF_OBS_GAUGE_SET("obs_test.nan_gauge", std::nan(""));
+    GEF_OBS_METRIC("obs_test.inf_metric", 1,
+                   std::numeric_limits<double>::infinity());
+  }
   obs::Flush();
 
+  // Every line must be one JSON object; keep the last one per name.
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string line;
   int lines = 0;
-  bool saw_flush = false, saw_depth0 = false, saw_depth1 = false,
-       saw_counter = false;
+  bool saw_flush = false;
+  std::map<std::string, Json> by_name;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
     ++lines;
-    // Minimal JSONL shape check: one object per line.
-    EXPECT_EQ(line.front(), '{') << line;
-    EXPECT_EQ(line.back(), '}') << line;
-    EXPECT_NE(line.find("\"type\":"), std::string::npos) << line;
-    if (line.find("\"type\":\"flush\"") != std::string::npos) {
+    auto parsed = ParseJson(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << line;
+    ASSERT_TRUE(parsed->is_object()) << line;
+    const Json* type = parsed->Find("type");
+    ASSERT_TRUE(type != nullptr && type->is_string()) << line;
+    if (type->str == "flush") {
       saw_flush = true;
-      EXPECT_NE(line.find("\"peak_rss_bytes\":"), std::string::npos);
+      const Json* rss = parsed->Find("peak_rss_bytes");
+      EXPECT_TRUE(rss != nullptr && rss->is_number()) << line;
+      continue;
     }
-    if (line.find("\"name\":\"obs_test.depth0\"") != std::string::npos) {
-      saw_depth0 = true;
-      EXPECT_NE(line.find("\"depth\":0"), std::string::npos) << line;
-    }
-    if (line.find("\"name\":\"obs_test.depth1\"") != std::string::npos) {
-      saw_depth1 = true;
-      EXPECT_NE(line.find("\"depth\":1"), std::string::npos) << line;
-    }
-    if (line.find("\"name\":\"obs_test.jsonl_counter\"") !=
-        std::string::npos) {
-      saw_counter = true;
-      EXPECT_NE(line.find("\"delta\":3"), std::string::npos) << line;
-    }
+    const Json* name = parsed->Find("name");
+    ASSERT_TRUE(name != nullptr && name->is_string()) << line;
+    by_name[name->str] = *parsed;
   }
-  EXPECT_GE(lines, 4);
+  // flush + three spans + counter + gauge + metric point.
+  EXPECT_EQ(lines, 7);
   EXPECT_TRUE(saw_flush);
-  EXPECT_TRUE(saw_depth0);
-  EXPECT_TRUE(saw_depth1);
-  EXPECT_TRUE(saw_counter);
+  auto member = [&by_name](const std::string& name,
+                           const std::string& key) -> const Json* {
+    auto it = by_name.find(name);
+    return it == by_name.end() ? nullptr : it->second.Find(key);
+  };
+  auto number_at = [&member](const std::string& name,
+                             const std::string& key) {
+    const Json* value = member(name, key);
+    return value != nullptr && value->is_number() ? value->number : -1.0;
+  };
+  auto is_null = [&member](const std::string& name,
+                           const std::string& key) {
+    const Json* value = member(name, key);
+    return value != nullptr && value->type == Json::Type::kNull;
+  };
+  EXPECT_EQ(number_at("obs_test.depth0", "depth"), 0.0);
+  EXPECT_EQ(number_at("obs_test.depth1", "depth"), 1.0);
+  EXPECT_EQ(number_at("obs_test.jsonl_counter", "delta"), 3.0);
+  EXPECT_EQ(number_at("obs_test.two\nlines", "depth"), 0.0);
+  EXPECT_TRUE(is_null("obs_test.nan_gauge", "value"));
+  EXPECT_EQ(number_at("obs_test.inf_metric", "step"), 1.0);
+  EXPECT_TRUE(is_null("obs_test.inf_metric", "value"));
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,8 @@
 // Tests for the serving subsystem (DESIGN.md §3.14): content hashing,
-// the always-on metrics registry, the JSON + HTTP wire formats, the
-// shutdown/file-guard plumbing, the model registry, the single-flight
-// surrogate cache, the request batcher and the endpoint handlers.
+// the always-on metrics registry, the HTTP wire format (JSON itself is
+// tested in util_test.cc), the shutdown/file-guard plumbing, the model
+// registry, the single-flight surrogate cache, the request batcher and
+// the endpoint handlers.
 //
 // Handler/cache/batcher logic runs on in-memory buffers; the epoll
 // reactor (PR 9) is additionally exercised over real loopback sockets
@@ -36,14 +37,13 @@
 #include "serve/batcher.h"
 #include "serve/handlers.h"
 #include "serve/http.h"
-#include "serve/json.h"
 #include "serve/model_registry.h"
 #include "serve/reactor.h"
-#include "serve/server.h"
-#include "util/shutdown.h"
 #include "serve/surrogate_cache.h"
 #include "stats/rng.h"
 #include "util/hash.h"
+#include "util/json.h"
+#include "util/shutdown.h"
 
 namespace gef {
 namespace {
@@ -52,9 +52,7 @@ using serve::HttpLimits;
 using serve::HttpRequest;
 using serve::HttpRequestParser;
 using serve::HttpResponse;
-using serve::Json;
 using serve::ModelRegistry;
-using serve::ParseJson;
 using serve::RequestBatcher;
 using serve::ServeContext;
 using serve::ServedModel;
@@ -249,76 +247,6 @@ TEST(MetricsTest, HistogramMinMaxSurviveFirstObservationRace) {
 }
 
 // ---------------------------------------------------------------------
-// serve/json
-// ---------------------------------------------------------------------
-
-TEST(JsonTest, ParsesNestedDocument) {
-  auto parsed = ParseJson(
-      R"({"row": [1, -2.5, 3e2], "model": "census", "opts": {"deep": true},
-          "null_member": null, "flag": false})");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const Json& json = *parsed;
-  ASSERT_TRUE(json.is_object());
-  const Json* row = json.Find("row");
-  ASSERT_NE(row, nullptr);
-  ASSERT_TRUE(row->is_array());
-  ASSERT_EQ(row->array.size(), 3u);
-  EXPECT_DOUBLE_EQ(row->array[1].number, -2.5);
-  EXPECT_DOUBLE_EQ(row->array[2].number, 300.0);
-  EXPECT_EQ(json.Find("model")->str, "census");
-  EXPECT_TRUE(json.Find("opts")->Find("deep")->boolean);
-  EXPECT_EQ(json.Find("null_member")->type, Json::Type::kNull);
-  EXPECT_EQ(json.Find("missing"), nullptr);
-}
-
-TEST(JsonTest, ParsesStringEscapes) {
-  auto parsed = ParseJson(R"({"s": "a\"b\\c\n\tA"})");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->Find("s")->str, "a\"b\\c\n\tA");
-}
-
-TEST(JsonTest, RejectsMalformedInput) {
-  EXPECT_FALSE(ParseJson("").ok());
-  EXPECT_FALSE(ParseJson("{not json").ok());
-  EXPECT_FALSE(ParseJson("{\"a\": 1,}").ok());
-  EXPECT_FALSE(ParseJson("[1, 2] trailing").ok());
-  EXPECT_FALSE(ParseJson("\"unterminated").ok());
-  EXPECT_FALSE(ParseJson("{\"a\"}").ok());
-  EXPECT_FALSE(ParseJson("nul").ok());
-  EXPECT_FALSE(ParseJson("01").ok());
-}
-
-TEST(JsonTest, DepthLimitBoundsRecursion) {
-  std::string deep(200, '[');
-  deep += std::string(200, ']');
-  EXPECT_FALSE(ParseJson(deep, 64).ok());
-  EXPECT_TRUE(ParseJson("[[[[1]]]]", 8).ok());
-}
-
-TEST(JsonTest, NumberAndEscapeRendering) {
-  EXPECT_EQ(serve::JsonNumberText(1.5), "1.5");
-  EXPECT_EQ(serve::JsonNumberText(std::nan("")), "null");
-  EXPECT_EQ(serve::JsonEscapeString("a\"b\\\n"), "a\\\"b\\\\\\n");
-  EXPECT_EQ(serve::JsonNumberArray({1.0, 2.5}), "[1,2.5]");
-}
-
-TEST(JsonTest, FuzzedInputsNeverCrash) {
-  Rng rng(991);
-  const std::string seed_doc =
-      R"({"row": [1.0, 2.0], "model": "m", "config": {"k": 16}})";
-  for (int iteration = 0; iteration < 500; ++iteration) {
-    std::string doc = seed_doc;
-    int num_edits = 1 + static_cast<int>(rng.Uniform() * 4);
-    for (int e = 0; e < num_edits; ++e) {
-      size_t pos = static_cast<size_t>(rng.Uniform() * doc.size());
-      doc[pos] = static_cast<char>(rng.Uniform() * 256);
-    }
-    auto parsed = ParseJson(doc);  // must return, never crash
-    (void)parsed;
-  }
-}
-
-// ---------------------------------------------------------------------
 // serve/http
 // ---------------------------------------------------------------------
 
@@ -452,6 +380,13 @@ TEST(HttpTest, SerializeResponseCarriesContentLength) {
   HttpResponse error = serve::MakeErrorResponse(404, "nope");
   EXPECT_EQ(error.status, 404);
   EXPECT_NE(error.body.find("nope"), std::string::npos);
+
+  // Quotes, backslashes and control characters are escaped, not
+  // dropped: the body parses back to the exact message.
+  const std::string message = "bad \"a\\b\"\n\x01 here";
+  auto parsed = ParseJson(serve::MakeErrorResponse(400, message).body);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Find("error")->str, message);
 }
 
 TEST(HttpTest, FuzzedWireBytesNeverCrash) {
@@ -815,7 +750,7 @@ class HandlersTest : public ::testing::Test {
 
   std::string RowLiteral() const {
     std::vector<double> row(num_features_, 0.5);
-    return serve::JsonNumberArray(row);
+    return JsonNumberArray(row);
   }
 
   ModelRegistry registry_;
@@ -1104,8 +1039,8 @@ TEST(ServeConcurrencyTest, RegistryCacheBatcherStress) {
 using serve::BoundedRequestQueue;
 using serve::Completion;
 using serve::CompletionQueue;
-using serve::HttpServer;
 using serve::ParsedRequest;
+using serve::Reactor;
 
 TEST(BoundedRequestQueueTest, CapacityShedAndDrainSemantics) {
   BoundedRequestQueue queue(2);
@@ -1322,12 +1257,12 @@ class ReactorServeTest : public ::testing::Test {
       server_.reset();
     }
     if (batcher_ != nullptr) batcher_->Stop();
-    // HttpServer::Stop() raises the process-wide shutdown flag; clear
+    // Reactor::Stop() raises the process-wide shutdown flag; clear
     // it so the next test's server starts serving instead of draining.
     internal::ResetShutdownStateForTest();
   }
 
-  void StartServer(HttpServer::Options options,
+  void StartServer(Reactor::Options options,
                    RequestBatcher::Options batch_options = {},
                    GefConfig config = TinyGefConfig()) {
     batcher_ = std::make_unique<RequestBatcher>(batch_options);
@@ -1335,7 +1270,7 @@ class ReactorServeTest : public ::testing::Test {
     context_.cache = &cache_;
     context_.batcher = batcher_.get();
     context_.default_config = config;
-    server_ = std::make_unique<HttpServer>(context_, std::move(options));
+    server_ = std::make_unique<Reactor>(context_, std::move(options));
     ASSERT_TRUE(server_->Start().ok());
   }
 
@@ -1358,12 +1293,12 @@ class ReactorServeTest : public ::testing::Test {
   SurrogateCache cache_{4};
   std::unique_ptr<RequestBatcher> batcher_;
   ServeContext context_;
-  std::unique_ptr<HttpServer> server_;
+  std::unique_ptr<Reactor> server_;
   size_t num_features_ = 0;
 };
 
 TEST_F(ReactorServeTest, ServesKeepAliveRequestsOverRealSocket) {
-  HttpServer::Options options;
+  Reactor::Options options;
   options.num_shards = 1;
   StartServer(options);
 
@@ -1381,18 +1316,18 @@ TEST_F(ReactorServeTest, ServesKeepAliveRequestsOverRealSocket) {
   const std::vector<double> row = Row(0.5);
   ASSERT_TRUE(client.SendRaw(HttpRequestText(
       "POST", "/v1/predict",
-      "{\"row\":" + serve::JsonNumberArray(row) + "}")));
+      "{\"row\":" + JsonNumberArray(row) + "}")));
   ASSERT_TRUE(client.ReadResponse(&status, &headers, &body));
   ASSERT_EQ(status, 200) << body;
   const std::string expected =
       "\"prediction\":" +
-      serve::JsonNumberText(registry_.Get("census")->forest.Predict(row)) +
+      JsonNumberText(registry_.Get("census")->forest.Predict(row)) +
       "}";
   EXPECT_NE(body.find(expected), std::string::npos) << body;
 }
 
 TEST_F(ReactorServeTest, PipelinedResponsesReturnInRequestOrder) {
-  HttpServer::Options options;
+  Reactor::Options options;
   options.num_shards = 1;
   // Two workers make out-of-order completion possible; the connection
   // must still release responses in request order.
@@ -1407,7 +1342,7 @@ TEST_F(ReactorServeTest, PipelinedResponsesReturnInRequestOrder) {
     std::vector<double> row(num_features_);
     for (auto& v : row) v = rng.Uniform() * 5.0;
     const std::string body =
-        "{\"row\":" + serve::JsonNumberArray(row) + "}";
+        "{\"row\":" + JsonNumberArray(row) + "}";
     burst += HttpRequestText("POST", "/v1/predict", body);
     // The reactor must transport the handler's output byte-for-byte.
     HttpRequest direct;
@@ -1437,7 +1372,7 @@ TEST_F(ReactorServeTest, PipelinedResponsesReturnInRequestOrder) {
 // burst path must produce the exact bytes the generic handler would:
 // same scanner, same model resolution, same sigmoid, same formatting.
 TEST_F(ReactorServeTest, BurstBatchedPredictsMatchDirectHandlerByteForByte) {
-  HttpServer::Options options;
+  Reactor::Options options;
   options.num_shards = 1;
   options.workers_per_shard = 1;
   RequestBatcher::Options batching;
@@ -1453,7 +1388,7 @@ TEST_F(ReactorServeTest, BurstBatchedPredictsMatchDirectHandlerByteForByte) {
     for (auto& v : row) v = rng.Uniform() * 5.0;
     // Alternate the two canonical shapes so named and implied model
     // lookups land in the same staged sweep.
-    const std::string row_json = serve::JsonNumberArray(row);
+    const std::string row_json = JsonNumberArray(row);
     const std::string body =
         i % 2 == 0 ? "{\"row\":" + row_json + "}"
                    : "{\"model\":\"census\",\"row\":" + row_json + "}";
@@ -1485,7 +1420,7 @@ TEST_F(ReactorServeTest, BurstBatchedPredictsMatchDirectHandlerByteForByte) {
 }
 
 TEST_F(ReactorServeTest, IdleKeepAliveClosesWithinReadTimeoutPlusTick) {
-  HttpServer::Options options;
+  Reactor::Options options;
   options.num_shards = 1;
   options.read_timeout_ms = 300;
   options.tick_ms = 100;
@@ -1518,7 +1453,7 @@ TEST_F(ReactorServeTest, IdleKeepAliveClosesWithinReadTimeoutPlusTick) {
 }
 
 TEST_F(ReactorServeTest, OverloadShedsWith429AndRetryAfter) {
-  HttpServer::Options options;
+  Reactor::Options options;
   options.num_shards = 1;
   options.workers_per_shard = 1;
   options.queue_capacity = 1;
@@ -1527,7 +1462,7 @@ TEST_F(ReactorServeTest, OverloadShedsWith429AndRetryAfter) {
 
   // Occupy the only worker with a surrogate fit.
   const std::string explain_body =
-      "{\"row\":" + serve::JsonNumberArray(Row(0.5)) + "}";
+      "{\"row\":" + JsonNumberArray(Row(0.5)) + "}";
   TestClient explainer;
   ASSERT_TRUE(explainer.Connect(port, 120000));
   ASSERT_TRUE(explainer.SendRaw(
@@ -1549,7 +1484,7 @@ TEST_F(ReactorServeTest, OverloadShedsWith429AndRetryAfter) {
     ASSERT_TRUE(client->Connect(port, 120000));
     ASSERT_TRUE(client->SendRaw(HttpRequestText(
         "POST", "/v1/predict",
-        "{\"row\":" + serve::JsonNumberArray(Row(0.25)) + "}")));
+        "{\"row\":" + JsonNumberArray(Row(0.25)) + "}")));
     burst.push_back(std::move(client));
   }
 
@@ -1587,7 +1522,7 @@ TEST_F(ReactorServeTest, OverloadShedsWith429AndRetryAfter) {
 }
 
 TEST_F(ReactorServeTest, DrainDeliversInFlightResponseThenCloses) {
-  HttpServer::Options options;
+  Reactor::Options options;
   options.num_shards = 1;
   StartServer(options, RequestBatcher::Options{}, SlowConfig());
   const int port = server_->bound_port();
@@ -1605,7 +1540,7 @@ TEST_F(ReactorServeTest, DrainDeliversInFlightResponseThenCloses) {
   ASSERT_TRUE(explainer.Connect(port, 120000));
   ASSERT_TRUE(explainer.SendRaw(HttpRequestText(
       "POST", "/v1/explain",
-      "{\"row\":" + serve::JsonNumberArray(Row(0.5)) + "}")));
+      "{\"row\":" + JsonNumberArray(Row(0.5)) + "}")));
   TestClient prober;
   ASSERT_TRUE(prober.Connect(port));
   ASSERT_TRUE(WaitForMetric(&prober, "serve.requests.explain", 1.0));
@@ -1625,7 +1560,7 @@ TEST_F(ReactorServeTest, DrainDeliversInFlightResponseThenCloses) {
 }
 
 TEST_F(ReactorServeTest, MultiShardStressWithHotSwapThenDrain) {
-  HttpServer::Options options;
+  Reactor::Options options;
   options.num_shards = 2;
   options.workers_per_shard = 2;
   StartServer(options);
@@ -1652,7 +1587,7 @@ TEST_F(ReactorServeTest, MultiShardStressWithHotSwapThenDrain) {
           for (auto& v : row) v = rng.Uniform() * 5.0;
           burst += HttpRequestText(
               "POST", "/v1/predict",
-              "{\"row\":" + serve::JsonNumberArray(row) + "}");
+              "{\"row\":" + JsonNumberArray(row) + "}");
         }
         if (!client.SendRaw(burst)) {
           errors.fetch_add(1);

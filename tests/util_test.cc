@@ -1,7 +1,15 @@
-// Tests for util: Status/StatusOr, string helpers, timer.
+// Tests for util: Status/StatusOr, string helpers, timer, JSON.
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "stats/rng.h"
+#include "util/json.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -173,6 +181,116 @@ TEST(CheckTest, PassingChecksAreSilent) {
   GEF_CHECK_EQ(3, 3);
   GEF_CHECK_LE(1, 1);
   GEF_CHECK_GT(2, 1);
+}
+
+// ---------------------------------------------------------------------
+// util/json
+// ---------------------------------------------------------------------
+
+TEST(JsonTest, ParsesNestedDocument) {
+  auto parsed = ParseJson(
+      R"({"row": [1, -2.5, 3e2], "model": "census", "opts": {"deep": true},
+          "null_member": null, "flag": false})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const Json& json = *parsed;
+  ASSERT_TRUE(json.is_object());
+  const Json* row = json.Find("row");
+  ASSERT_NE(row, nullptr);
+  ASSERT_TRUE(row->is_array());
+  ASSERT_EQ(row->array.size(), 3u);
+  EXPECT_DOUBLE_EQ(row->array[1].number, -2.5);
+  EXPECT_DOUBLE_EQ(row->array[2].number, 300.0);
+  EXPECT_EQ(json.Find("model")->str, "census");
+  EXPECT_TRUE(json.Find("opts")->Find("deep")->boolean);
+  EXPECT_EQ(json.Find("null_member")->type, Json::Type::kNull);
+  EXPECT_EQ(json.Find("missing"), nullptr);
+}
+
+TEST(JsonTest, ParsesStringEscapes) {
+  auto parsed = ParseJson(R"({"s": "a\"b\\c\n\tA"})");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->Find("s")->str, "a\"b\\c\n\tA");
+}
+
+TEST(JsonTest, RejectsMalformedInput) {
+  EXPECT_FALSE(ParseJson("").ok());
+  EXPECT_FALSE(ParseJson("{not json").ok());
+  EXPECT_FALSE(ParseJson("{\"a\": 1,}").ok());
+  EXPECT_FALSE(ParseJson("[1, 2] trailing").ok());
+  EXPECT_FALSE(ParseJson("\"unterminated").ok());
+  EXPECT_FALSE(ParseJson("{\"a\"}").ok());
+  EXPECT_FALSE(ParseJson("nul").ok());
+  EXPECT_FALSE(ParseJson("01").ok());
+}
+
+TEST(JsonTest, DepthLimitBoundsRecursion) {
+  std::string deep(200, '[');
+  deep += std::string(200, ']');
+  EXPECT_FALSE(ParseJson(deep, 64).ok());
+  EXPECT_TRUE(ParseJson("[[[[1]]]]", 8).ok());
+}
+
+TEST(JsonTest, NumberAndEscapeRendering) {
+  EXPECT_EQ(JsonNumberText(1.5), "1.5");
+  EXPECT_EQ(JsonNumberText(std::nan("")), "null");
+  EXPECT_EQ(JsonNumberText(-std::numeric_limits<double>::infinity()),
+            "null");
+  EXPECT_EQ(JsonEscapeString("a\"b\\\n"), "a\\\"b\\\\\\n");
+  EXPECT_EQ(JsonNumberArray({1.0, 2.5}), "[1,2.5]");
+  // Round numbers print in fixed form, not as "1.2e+02".
+  EXPECT_EQ(JsonNumberText(120), "120");
+
+  // Every finite double reads back bit for bit.
+  auto round_trips = [](double x) {
+    auto parsed = ParseJson(JsonNumberText(x));
+    return parsed.ok() && parsed->is_number() &&
+           std::bit_cast<uint64_t>(parsed->number) ==
+               std::bit_cast<uint64_t>(x);
+  };
+  using Limits = std::numeric_limits<double>;
+  for (double x : {0.0, -0.0, Limits::denorm_min(), -Limits::denorm_min(),
+                   Limits::min(), Limits::max(), -Limits::max(), 0.1,
+                   1.0 / 3.0}) {
+    EXPECT_TRUE(round_trips(x)) << JsonNumberText(x);
+  }
+  Rng rng(20);
+  int finite = 0;
+  int misses = 0;
+  for (int i = 0; i < (1 << 18); ++i) {
+    const double x = std::bit_cast<double>(rng.Next());
+    if (!std::isfinite(x)) continue;
+    ++finite;
+    if (!round_trips(x)) ++misses;
+  }
+  EXPECT_GT(finite, 1 << 17);
+  EXPECT_EQ(misses, 0);
+
+  // Every byte survives escaping and parsing back.
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string text{'<', static_cast<char>(byte), '>'};
+    std::string literal = "\"";
+    literal += JsonEscapeString(text);
+    literal += '"';
+    auto parsed = ParseJson(literal);
+    ASSERT_TRUE(parsed.ok()) << "byte " << byte;
+    EXPECT_EQ(parsed->str, text) << "byte " << byte;
+  }
+}
+
+TEST(JsonTest, FuzzedInputsNeverCrash) {
+  Rng rng(991);
+  const std::string seed_doc =
+      R"({"row": [1.0, 2.0], "model": "m", "config": {"k": 16}})";
+  for (int iteration = 0; iteration < 500; ++iteration) {
+    std::string doc = seed_doc;
+    int num_edits = 1 + static_cast<int>(rng.Uniform() * 4);
+    for (int e = 0; e < num_edits; ++e) {
+      size_t pos = static_cast<size_t>(rng.Uniform() * doc.size());
+      doc[pos] = static_cast<char>(rng.Uniform() * 256);
+    }
+    auto parsed = ParseJson(doc);  // must return, never crash
+    (void)parsed;
+  }
 }
 
 }  // namespace

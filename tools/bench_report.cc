@@ -34,15 +34,14 @@
 // baseline diff drift-gates both backends once the baseline carries
 // the object.
 //
-// `--validate` re-parses an emitted report with
-// a strict JSON parser and checks every schema-required field, which is
+// `--validate` re-parses an emitted report with the repo's strict JSON
+// parser (util/json.h) and checks every schema-required field, which is
 // what the CI bench-report job gates on. Adding `--baseline` diffs the
 // validated report against a prior one: per-stage wall-time deltas are
 // printed as a markdown table (CI appends it to the job summary) and any
 // fidelity drift beyond kFidelityDriftTol FAILS the run — a perf PR must
 // not buy speed with accuracy.
 
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -68,177 +67,11 @@
 #include "obs/rss.h"
 #include "serve/model_registry.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/parallel.h"
 
 namespace gef {
 namespace {
-
-// ---------------------------------------------------------------------
-// Minimal strict JSON parser for --validate: values become a tagged
-// tree; any syntax error aborts validation with a message.
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out, std::string* error) {
-    pos_ = 0;
-    if (!ParseValue(out, error)) return false;
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      *error = "trailing characters at offset " + std::to_string(pos_);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Fail(std::string* error, const std::string& what) {
-    *error = what + " at offset " + std::to_string(pos_);
-    return false;
-  }
-
-  bool Literal(const char* word, std::string* error) {
-    for (const char* p = word; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        return Fail(error, std::string("expected '") + word + "'");
-      }
-    }
-    return true;
-  }
-
-  bool ParseString(std::string* out, std::string* error) {
-    if (text_[pos_] != '"') return Fail(error, "expected string");
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Fail(error, "bad escape");
-        out->push_back(text_[pos_++]);
-      } else {
-        out->push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) return Fail(error, "unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out, std::string* error) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail(error, "unexpected end");
-    char c = text_[pos_];
-    if (c == 'n') {
-      out->type = JsonValue::Type::kNull;
-      return Literal("null", error);
-    }
-    if (c == 't' || c == 'f') {
-      out->type = JsonValue::Type::kBool;
-      out->boolean = c == 't';
-      return Literal(c == 't' ? "true" : "false", error);
-    }
-    if (c == '"') {
-      out->type = JsonValue::Type::kString;
-      return ParseString(&out->str, error);
-    }
-    if (c == '[') {
-      out->type = JsonValue::Type::kArray;
-      ++pos_;
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        JsonValue element;
-        if (!ParseValue(&element, error)) return false;
-        out->array.push_back(std::move(element));
-        SkipSpace();
-        if (pos_ >= text_.size()) return Fail(error, "unterminated array");
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return Fail(error, "expected ',' or ']'");
-      }
-    }
-    if (c == '{') {
-      out->type = JsonValue::Type::kObject;
-      ++pos_;
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        SkipSpace();
-        std::string key;
-        if (pos_ >= text_.size() || !ParseString(&key, error)) {
-          return false;
-        }
-        SkipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != ':') {
-          return Fail(error, "expected ':'");
-        }
-        ++pos_;
-        JsonValue value;
-        if (!ParseValue(&value, error)) return false;
-        out->object.emplace(std::move(key), std::move(value));
-        SkipSpace();
-        if (pos_ >= text_.size()) return Fail(error, "unterminated object");
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return Fail(error, "expected ',' or '}'");
-      }
-    }
-    // Number.
-    size_t start = pos_;
-    if (text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' ||
-            text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail(error, "unexpected character");
-    out->type = JsonValue::Type::kNumber;
-    out->number = std::strtod(text_.substr(start, pos_ - start).c_str(),
-                              nullptr);
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------
 // Report schema. Bump kSchema when a field changes meaning; add-only
@@ -305,24 +138,24 @@ std::string FormatDouble(double v) {
   return std::string(buf);
 }
 
-// Re-serializes a parsed JsonValue (used to carry gef_loadgen's serving
+// Re-serializes a parsed Json (used to carry gef_loadgen's serving
 // workloads into the merged report verbatim).
-void SerializeJson(const JsonValue& value, int indent, std::string* out) {
+void SerializeJson(const Json& value, int indent, std::string* out) {
   const std::string pad(static_cast<size_t>(indent), ' ');
   switch (value.type) {
-    case JsonValue::Type::kNull:
+    case Json::Type::kNull:
       *out += "null";
       break;
-    case JsonValue::Type::kBool:
+    case Json::Type::kBool:
       *out += value.boolean ? "true" : "false";
       break;
-    case JsonValue::Type::kNumber:
+    case Json::Type::kNumber:
       *out += FormatDouble(value.number);
       break;
-    case JsonValue::Type::kString:
-      *out += "\"" + value.str + "\"";
+    case Json::Type::kString:
+      *out += "\"" + JsonEscapeString(value.str) + "\"";
       break;
-    case JsonValue::Type::kArray: {
+    case Json::Type::kArray: {
       *out += "[";
       for (size_t i = 0; i < value.array.size(); ++i) {
         if (i > 0) *out += ", ";
@@ -331,11 +164,11 @@ void SerializeJson(const JsonValue& value, int indent, std::string* out) {
       *out += "]";
       break;
     }
-    case JsonValue::Type::kObject: {
+    case Json::Type::kObject: {
       *out += "{\n";
       size_t i = 0;
       for (const auto& [key, member] : value.object) {
-        *out += pad + "  \"" + key + "\": ";
+        *out += pad + "  \"" + JsonEscapeString(key) + "\": ";
         SerializeJson(member, indent + 2, out);
         *out += ++i < value.object.size() ? ",\n" : "\n";
       }
@@ -523,7 +356,7 @@ WorkloadResult RunWorkload(const std::string& name, const Dataset& train,
 
 void WriteReport(const std::string& path,
                  const std::vector<WorkloadResult>& workloads, bool smoke,
-                 const std::vector<JsonValue>& serving_workloads) {
+                 const std::vector<Json>& serving_workloads) {
   std::ofstream out(path);
   out << "{\n";
   out << "  \"schema\": \"" << kSchema << "\",\n";
@@ -580,71 +413,71 @@ void WriteReport(const std::string& path,
 }
 
 // Schema check for --validate. Returns a list of problems (empty = ok).
-std::vector<std::string> ValidateReport(const JsonValue& root) {
+std::vector<std::string> ValidateReport(const Json& root) {
   std::vector<std::string> problems;
   auto require = [&problems](bool ok, const std::string& what) {
     if (!ok) problems.push_back(what);
     return ok;
   };
-  if (!require(root.type == JsonValue::Type::kObject,
+  if (!require(root.type == Json::Type::kObject,
                "root must be an object")) {
     return problems;
   }
-  auto field = [&root](const std::string& key) -> const JsonValue* {
+  auto field = [&root](const std::string& key) -> const Json* {
     auto it = root.object.find(key);
     return it == root.object.end() ? nullptr : &it->second;
   };
-  const JsonValue* schema = field("schema");
-  require(schema != nullptr && schema->type == JsonValue::Type::kString &&
+  const Json* schema = field("schema");
+  require(schema != nullptr && schema->type == Json::Type::kString &&
               schema->str == kSchema,
           std::string("schema must be \"") + kSchema + "\"");
   require(field("pr") != nullptr &&
-              field("pr")->type == JsonValue::Type::kString,
+              field("pr")->type == Json::Type::kString,
           "pr must be a string");
   require(field("num_threads") != nullptr &&
-              field("num_threads")->type == JsonValue::Type::kNumber,
+              field("num_threads")->type == Json::Type::kNumber,
           "num_threads must be a number");
-  const JsonValue* workloads = field("workloads");
+  const Json* workloads = field("workloads");
   if (!require(workloads != nullptr &&
-                   workloads->type == JsonValue::Type::kArray &&
+                   workloads->type == Json::Type::kArray &&
                    !workloads->array.empty(),
                "workloads must be a non-empty array")) {
     return problems;
   }
-  for (const JsonValue& w : workloads->array) {
-    if (!require(w.type == JsonValue::Type::kObject,
+  for (const Json& w : workloads->array) {
+    if (!require(w.type == Json::Type::kObject,
                  "workload must be an object")) {
       continue;
     }
-    auto wfield = [&w](const std::string& key) -> const JsonValue* {
+    auto wfield = [&w](const std::string& key) -> const Json* {
       auto it = w.object.find(key);
       return it == w.object.end() ? nullptr : &it->second;
     };
-    const JsonValue* wname = wfield("name");
+    const Json* wname = wfield("name");
     std::string label =
-        wname != nullptr && wname->type == JsonValue::Type::kString
+        wname != nullptr && wname->type == Json::Type::kString
             ? wname->str
             : "<unnamed>";
     require(wname != nullptr, "workload missing name");
-    const JsonValue* serving = wfield("serving");
+    const Json* serving = wfield("serving");
     if (serving != nullptr) {
       // Serving workload (gef_loadgen): the serving section replaces
       // the pipeline stage/fidelity requirements.
-      if (!require(serving->type == JsonValue::Type::kObject,
+      if (!require(serving->type == Json::Type::kObject,
                    label + ": serving must be an object")) {
         continue;
       }
-      auto sfield = [serving](const std::string& key) -> const JsonValue* {
+      auto sfield = [serving](const std::string& key) -> const Json* {
         auto it = serving->object.find(key);
         return it == serving->object.end() ? nullptr : &it->second;
       };
-      const JsonValue* endpoint = sfield("endpoint");
+      const Json* endpoint = sfield("endpoint");
       require(endpoint != nullptr &&
-                  endpoint->type == JsonValue::Type::kString,
+                  endpoint->type == Json::Type::kString,
               label + ": serving.endpoint must be a string");
       for (const char* key : kServingNumberKeys) {
-        const JsonValue* v = sfield(key);
-        require(v != nullptr && v->type == JsonValue::Type::kNumber &&
+        const Json* v = sfield(key);
+        require(v != nullptr && v->type == Json::Type::kNumber &&
                     std::isfinite(v->number) && v->number >= 0.0,
                 label + ": serving." + key +
                     " must be a non-negative number");
@@ -653,44 +486,44 @@ std::vector<std::string> ValidateReport(const JsonValue& root) {
     }
     for (const char* key : {"train_rows", "num_trees", "dstar_rows_per_s",
                             "peak_rss_bytes"}) {
-      const JsonValue* v = wfield(key);
-      require(v != nullptr && v->type == JsonValue::Type::kNumber,
+      const Json* v = wfield(key);
+      require(v != nullptr && v->type == Json::Type::kNumber,
               label + ": " + key + " must be a number");
     }
-    const JsonValue* stages = wfield("stages_s");
+    const Json* stages = wfield("stages_s");
     if (require(stages != nullptr &&
-                    stages->type == JsonValue::Type::kObject,
+                    stages->type == Json::Type::kObject,
                 label + ": stages_s must be an object")) {
       for (const auto& [key, span] : kStageSpans) {
         (void)span;
         auto it = stages->object.find(key);
         require(it != stages->object.end() &&
-                    it->second.type == JsonValue::Type::kNumber &&
+                    it->second.type == Json::Type::kNumber &&
                     it->second.number >= 0.0,
                 label + ": stages_s." + key +
                     " must be a non-negative number");
       }
     }
-    const JsonValue* fidelity = wfield("fidelity");
+    const Json* fidelity = wfield("fidelity");
     if (require(fidelity != nullptr &&
-                    fidelity->type == JsonValue::Type::kObject,
+                    fidelity->type == Json::Type::kObject,
                 label + ": fidelity must be an object")) {
       for (const char* key : {"r2", "rmse"}) {
         auto it = fidelity->object.find(key);
         require(it != fidelity->object.end() &&
-                    it->second.type == JsonValue::Type::kNumber &&
+                    it->second.type == Json::Type::kNumber &&
                     std::isfinite(it->second.number),
                 label + ": fidelity." + key + " must be a finite number");
       }
     }
-    const JsonValue* surrogates = wfield("surrogates");
+    const Json* surrogates = wfield("surrogates");
     if (require(surrogates != nullptr &&
-                    surrogates->type == JsonValue::Type::kObject,
+                    surrogates->type == Json::Type::kObject,
                 label + ": surrogates must be an object")) {
       for (const char* backend : kHeadToHeadBackends) {
         auto bit = surrogates->object.find(backend);
         if (!require(bit != surrogates->object.end() &&
-                         bit->second.type == JsonValue::Type::kObject,
+                         bit->second.type == Json::Type::kObject,
                      label + ": surrogates." + backend +
                          " must be an object")) {
           continue;
@@ -698,21 +531,21 @@ std::vector<std::string> ValidateReport(const JsonValue& root) {
         for (const char* key : {"fit_s", "r2", "rmse"}) {
           auto it = bit->second.object.find(key);
           require(it != bit->second.object.end() &&
-                      it->second.type == JsonValue::Type::kNumber &&
+                      it->second.type == Json::Type::kNumber &&
                       std::isfinite(it->second.number),
                   label + ": surrogates." + backend + "." + key +
                       " must be a finite number");
         }
       }
     }
-    const JsonValue* store = wfield("store");
+    const Json* store = wfield("store");
     if (require(store != nullptr &&
-                    store->type == JsonValue::Type::kObject,
+                    store->type == Json::Type::kObject,
                 label + ": store must be an object")) {
       for (const char* key : {"text_load_s", "mmap_load_s", "speedup"}) {
         auto it = store->object.find(key);
         require(it != store->object.end() &&
-                    it->second.type == JsonValue::Type::kNumber &&
+                    it->second.type == Json::Type::kNumber &&
                     std::isfinite(it->second.number) &&
                     it->second.number >= 0.0,
                 label + ": store." + key +
@@ -720,14 +553,14 @@ std::vector<std::string> ValidateReport(const JsonValue& root) {
       }
       auto bit = store->object.find("bit_identical");
       require(bit != store->object.end() &&
-                  bit->second.type == JsonValue::Type::kBool,
+                  bit->second.type == Json::Type::kBool,
               label + ": store.bit_identical must be a bool");
     }
   }
   return problems;
 }
 
-bool LoadJsonFile(const std::string& path, JsonValue* root) {
+bool LoadJsonFile(const std::string& path, Json* root) {
   std::ifstream in(path);
   if (!in.is_open()) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -735,17 +568,18 @@ bool LoadJsonFile(const std::string& path, JsonValue* root) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  std::string error;
-  if (!JsonParser(buffer.str()).Parse(root, &error)) {
+  StatusOr<Json> parsed = ParseJson(buffer.str());
+  if (!parsed.ok()) {
     std::fprintf(stderr, "%s: invalid JSON: %s\n", path.c_str(),
-                 error.c_str());
+                 parsed.status().message().c_str());
     return false;
   }
+  *root = std::move(parsed).value();
   return true;
 }
 
 int Validate(const std::string& path) {
-  JsonValue root;
+  Json root;
   if (!LoadJsonFile(path, &root)) return 1;
   std::vector<std::string> problems = ValidateReport(root);
   for (const std::string& problem : problems) {
@@ -767,18 +601,18 @@ int Validate(const std::string& path) {
 /// tight for a real modeling regression to hide in.
 constexpr double kFidelityDriftTol = 0.02;
 
-const JsonValue* FindWorkload(const JsonValue& root,
+const Json* FindWorkload(const Json& root,
                               const std::string& name) {
   auto it = root.object.find("workloads");
   if (it == root.object.end()) return nullptr;
-  for (const JsonValue& w : it->second.array) {
+  for (const Json& w : it->second.array) {
     auto n = w.object.find("name");
     if (n != w.object.end() && n->second.str == name) return &w;
   }
   return nullptr;
 }
 
-double NumberAt(const JsonValue& obj, const std::string& key,
+double NumberAt(const Json& obj, const std::string& key,
                 double fallback = 0.0) {
   auto it = obj.object.find(key);
   return it == obj.object.end() ? fallback : it->second.number;
@@ -786,7 +620,7 @@ double NumberAt(const JsonValue& obj, const std::string& key,
 
 int DiffAgainstBaseline(const std::string& current_path,
                         const std::string& baseline_path) {
-  JsonValue current, baseline;
+  Json current, baseline;
   if (!LoadJsonFile(current_path, &current) ||
       !LoadJsonFile(baseline_path, &baseline)) {
     return 1;
@@ -799,9 +633,9 @@ int DiffAgainstBaseline(const std::string& current_path,
   std::printf("| workload | stage | baseline (s) | current (s) | delta |\n");
   std::printf("|---|---|---:|---:|---:|\n");
   auto wit = current.object.find("workloads");
-  for (const JsonValue& w : wit->second.array) {
+  for (const Json& w : wit->second.array) {
     const std::string name = w.object.at("name").str;
-    const JsonValue* base = FindWorkload(baseline, name);
+    const Json* base = FindWorkload(baseline, name);
     if (base == nullptr) {
       std::printf("| %s | _(not in baseline)_ | | | |\n", name.c_str());
       continue;
@@ -828,7 +662,7 @@ int DiffAgainstBaseline(const std::string& current_path,
       }
       continue;
     }
-    const JsonValue& cur_stages = w.object.at("stages_s");
+    const Json& cur_stages = w.object.at("stages_s");
     auto bstages = base->object.find("stages_s");
     for (const auto& [key, span] : kStageSpans) {
       (void)span;
@@ -869,9 +703,9 @@ int DiffAgainstBaseline(const std::string& current_path,
     }
   }
   std::printf("\n### Fidelity gate (tolerance %.3g)\n\n", kFidelityDriftTol);
-  for (const JsonValue& w : wit->second.array) {
+  for (const Json& w : wit->second.array) {
     const std::string name = w.object.at("name").str;
-    const JsonValue* base = FindWorkload(baseline, name);
+    const Json* base = FindWorkload(baseline, name);
     if (base == nullptr) continue;
     auto cfid = w.object.find("fidelity");
     auto bfid = base->object.find("fidelity");
@@ -930,7 +764,7 @@ int Run(const Flags& flags) {
   // them in verbatim (schema-checked) rather than re-running the load.
   // `--serving` takes a comma-separated list so one report can carry
   // several runs (batching on vs off, predict vs explain).
-  std::vector<JsonValue> serving_workloads;
+  std::vector<Json> serving_workloads;
   size_t path_begin = 0;
   while (path_begin <= serving_paths.size() && !serving_paths.empty()) {
     size_t comma = serving_paths.find(',', path_begin);
@@ -939,7 +773,7 @@ int Run(const Flags& flags) {
         serving_paths.substr(path_begin, comma - path_begin);
     path_begin = comma + 1;
     if (serving_path.empty()) continue;
-    JsonValue serving_root;
+    Json serving_root;
     if (!LoadJsonFile(serving_path, &serving_root)) return 1;
     std::vector<std::string> problems = ValidateReport(serving_root);
     for (const std::string& problem : problems) {
@@ -947,7 +781,7 @@ int Run(const Flags& flags) {
                    serving_path.c_str(), problem.c_str());
     }
     if (!problems.empty()) return 1;
-    for (JsonValue& w : serving_root.object.at("workloads").array) {
+    for (Json& w : serving_root.object.at("workloads").array) {
       if (w.object.find("serving") == w.object.end()) {
         std::fprintf(stderr,
                      "%s: workload without a serving section; merge "

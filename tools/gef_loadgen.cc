@@ -54,9 +54,9 @@
 #include <thread>
 #include <vector>
 
-#include "serve/json.h"
 #include "stats/rng.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace gef {
@@ -211,9 +211,9 @@ std::string PredictBody(const std::string& model,
                         const std::vector<double>& row) {
   std::string body = "{";
   if (!model.empty()) {
-    body += "\"model\":\"" + serve::JsonEscapeString(model) + "\",";
+    body += "\"model\":\"" + JsonEscapeString(model) + "\",";
   }
-  body += "\"row\":" + serve::JsonNumberArray(row) + "}";
+  body += "\"row\":" + JsonNumberArray(row) + "}";
   return body;
 }
 
@@ -228,13 +228,13 @@ bool DiscoverFeatures(const std::string& host, int port,
       status != 200) {
     return false;
   }
-  StatusOr<serve::Json> parsed = serve::ParseJson(body);
+  StatusOr<Json> parsed = ParseJson(body);
   if (!parsed.ok()) return false;
-  const serve::Json* models = parsed.value().Find("models");
+  const Json* models = parsed.value().Find("models");
   if (models == nullptr || !models->is_array()) return false;
-  for (const serve::Json& entry : models->array) {
-    const serve::Json* name = entry.Find("name");
-    const serve::Json* width = entry.Find("features");
+  for (const Json& entry : models->array) {
+    const Json* name = entry.Find("name");
+    const Json* width = entry.Find("features");
     if (width == nullptr || !width->is_number()) continue;
     if (model.empty() || (name != nullptr && name->str == model)) {
       *features = static_cast<size_t>(width->number);
@@ -563,38 +563,38 @@ int Run(int argc, const char* const* argv) {
     json += "  \"num_threads\": " + std::to_string(connections) + ",\n";
     json += "  \"workloads\": [\n    {\n";
     json += "      \"name\": \"" +
-            serve::JsonEscapeString(workload_name) + "\",\n";
+            JsonEscapeString(workload_name) + "\",\n";
     json += "      \"serving\": {\n";
     json += "        \"endpoint\": \"" +
-            serve::JsonEscapeString(endpoint) + "\",\n";
+            JsonEscapeString(endpoint) + "\",\n";
     json += "        \"mode\": \"";
     json += open_loop ? "open-loop" : "closed-loop";
     json += "\",\n";
     json += "        \"pipeline\": " + std::to_string(pipeline) + ",\n";
     if (open_loop) {
       json += "        \"target_qps\": " +
-              serve::JsonNumberText(target_qps) + ",\n";
+              JsonNumberText(target_qps) + ",\n";
     }
     json += "        \"batching\": \"" +
-            serve::JsonEscapeString(batching_label) + "\",\n";
+            JsonEscapeString(batching_label) + "\",\n";
     json += "        \"connections\": " + std::to_string(connections) +
             ",\n";
     json += "        \"duration_s\": " +
-            serve::JsonNumberText(duration_s) + ",\n";
+            JsonNumberText(duration_s) + ",\n";
     json += "        \"requests\": " + std::to_string(requests) + ",\n";
     json += "        \"errors\": " + std::to_string(errors) + ",\n";
     json += "        \"shed\": " + std::to_string(shed) + ",\n";
-    json += "        \"qps\": " + serve::JsonNumberText(qps) + ",\n";
+    json += "        \"qps\": " + JsonNumberText(qps) + ",\n";
     json += "        \"served_qps\": " +
-            serve::JsonNumberText(served_qps) + ",\n";
+            JsonNumberText(served_qps) + ",\n";
     json += "        \"latency_p50_ms\": " +
-            serve::JsonNumberText(p50_ms) + ",\n";
+            JsonNumberText(p50_ms) + ",\n";
     json += "        \"latency_p90_ms\": " +
-            serve::JsonNumberText(p90_ms) + ",\n";
+            JsonNumberText(p90_ms) + ",\n";
     json += "        \"latency_p99_ms\": " +
-            serve::JsonNumberText(p99_ms) + ",\n";
+            JsonNumberText(p99_ms) + ",\n";
     json += "        \"latency_p999_ms\": " +
-            serve::JsonNumberText(p999_ms) + "\n";
+            JsonNumberText(p999_ms) + "\n";
     json += "      }\n    }\n  ]\n}\n";
     FILE* file = std::fopen(out_path.c_str(), "w");
     if (file == nullptr) {

@@ -20,6 +20,10 @@
 //             [--workers 0]       (handler threads per shard; 0 = auto)
 //             [--queue-capacity 256]  (per-shard request bound; beyond
 //                                      it requests are shed with 429)
+//             [--read-timeout-ms 5000]   (idle / mid-request wait for
+//                                         request bytes before close)
+//             [--write-timeout-ms 5000]  (wait for the client to accept
+//                                         response bytes)
 //             [--batching true] [--batch-max 64] [--batch-wait-us 1000]
 //             [--cache-capacity 8]
 //             [--univariate 5] [--bivariate 0] [--samples 20000]
@@ -44,9 +48,9 @@
 #include "serve/batcher.h"
 #include "serve/handlers.h"
 #include "serve/model_registry.h"
-#include "serve/server.h"
-#include "util/shutdown.h"
+#include "serve/reactor.h"
 #include "serve/surrogate_cache.h"
+#include "util/shutdown.h"
 #include "util/flags.h"
 #include "util/hash.h"
 #include "util/string_util.h"
@@ -83,7 +87,7 @@ int Run(int argc, const char* const* argv) {
   std::string format = flags.GetString("format", "gef");
   std::string explanation_path = flags.GetString("explanation", "");
 
-  serve::HttpServer::Options server_options;
+  serve::Reactor::Options server_options;
   server_options.address = flags.GetString("address", "127.0.0.1");
   server_options.port = flags.GetInt("port", 8080);
   server_options.num_shards = flags.GetInt("shards", 0);
@@ -222,7 +226,7 @@ int Run(int argc, const char* const* argv) {
     }
   }
 
-  serve::HttpServer server(context, server_options);
+  serve::Reactor server(context, server_options);
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "cannot start server: %s\n",
