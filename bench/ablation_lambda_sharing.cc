@@ -10,7 +10,6 @@
 #include "data/synthetic.h"
 #include "forest/gbdt_trainer.h"
 #include "gef/explainer.h"
-#include "util/string_util.h"
 
 using namespace gef;
 
@@ -41,19 +40,10 @@ int main() {
       std::printf("fit failed\n");
       return 1;
     }
-    std::printf("\n%-22s fit %.1fs  fidelity RMSE %.5f  GCV %.6f  "
-                "edof %.1f\n",
+    std::printf("\n%-22s fit %.1fs  fidelity RMSE %.5f\n%s",
                 per_term ? "per-term lambda:" : "shared lambda (paper):",
-                fit_s,
-                explanation->fidelity_rmse_test,
-                explanation->gam().gcv_score(), explanation->gam().edof());
-    std::printf("  lambdas:");
-    for (size_t t = 1; t < explanation->gam().num_terms(); ++t) {
-      std::printf(" %s=%s", explanation->gam().TermLabel(t).c_str(),
-                  FormatDouble(explanation->gam().term_lambdas()[t], 3)
-                      .c_str());
-    }
-    std::printf("\n");
+                fit_s, explanation->fidelity_rmse_test,
+                explanation->surrogate->DescribeFit().c_str());
   }
 
   std::printf(

@@ -35,7 +35,7 @@ int main() {
     probe.AppendRow(x, forest.PredictRaw(x));
   }
 
-  bench::Row({"basis", "fidelity(D*)", "probe RMSE", "edof", "lambda"});
+  bench::Row({"basis", "fidelity(D*)", "probe RMSE"});
   for (int basis : {5, 8, 12, 16, 24, 32}) {
     GefConfig config;
     config.num_univariate = 5;
@@ -49,7 +49,7 @@ int main() {
       continue;
     }
     std::vector<double> probe_preds =
-        explanation->gam().PredictBatch(probe);
+        explanation->surrogate->PredictBatch(probe);
     double probe_rmse = 0.0;
     for (size_t i = 0; i < probe.num_rows(); ++i) {
       double d = probe_preds[i] - probe.target(i);
@@ -58,9 +58,8 @@ int main() {
     probe_rmse = std::sqrt(probe_rmse / probe.num_rows());
     bench::Row({std::to_string(basis),
                 FormatDouble(explanation->fidelity_rmse_test, 4),
-                FormatDouble(probe_rmse, 4),
-                FormatDouble(explanation->gam().edof(), 4),
-                FormatDouble(explanation->gam().lambda(), 3)});
+                FormatDouble(probe_rmse, 4)});
+    std::printf("  %s", explanation->surrogate->DescribeFit().c_str());
   }
 
   std::printf(

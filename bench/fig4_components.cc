@@ -57,7 +57,7 @@ int main() {
   for (size_t i = 0; i < explanation->selected_features.size(); ++i) {
     int term = explanation->univariate_term_index[i];
     components.push_back({explanation->selected_features[i], term,
-                          explanation->gam().term_importances()[term]});
+                          explanation->surrogate->TermImportance(term)});
   }
   std::sort(components.begin(), components.end(),
             [](const Component& a, const Component& b) {
@@ -85,7 +85,7 @@ int main() {
       double x = 0.05 + 0.9 * g / (grid_points - 1);
       probe[component.feature] = x;
       double spline =
-          explanation->gam().TermContribution(component.term, probe);
+          explanation->surrogate->TermContribution(component.term, probe);
       double target =
           SyntheticComponent(component.feature, x) - truth_mean;
       fitted.push_back(spline);

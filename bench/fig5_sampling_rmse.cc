@@ -10,7 +10,6 @@
 #include "data/synthetic.h"
 #include "forest/gbdt_trainer.h"
 #include "forest/threshold_index.h"
-#include "gam/gam.h"
 #include "gef/explainer.h"
 #include "gef/sampling.h"
 #include "stats/metrics.h"
@@ -84,8 +83,9 @@ int main() {
       double rmse = -1.0;
       if (explanation != nullptr) {
         rmse = explanation->fidelity_rmse_test;
-        probe_rmse[ki][si] = Rmse(explanation->gam().PredictBatch(probe),
-                                  probe.targets());
+        probe_rmse[ki][si] =
+            Rmse(explanation->surrogate->PredictBatch(probe),
+                 probe.targets());
       }
       if (strategy == SamplingStrategy::kAllThresholds) {
         all_thresholds_rmse = rmse;

@@ -67,7 +67,8 @@ void CompareGefAndShap(const Forest& forest,
     std::vector<double> probe = anchor;
     for (size_t g = 0; g < centers.size(); ++g) {
       probe[feature] = centers[g];
-      EffectInterval effect = explanation.gam().TermEffect(term, probe);
+      EffectInterval effect =
+          explanation.surrogate->TermEffect(term, probe);
       gef_vals.push_back(effect.value);
       std::printf("  %-10.3f %-+10.4f [%+8.4f, %+8.4f]  %+10.4f\n",
                   centers[g], effect.value, effect.lower, effect.upper,

@@ -45,7 +45,7 @@ FidelityResult RunOne(const Dataset& data, int num_bivariate,
   std::vector<double> forest_preds = forest.PredictRawBatch(split.test);
   result.forest_r2_labels = RSquared(forest_preds, split.test.targets());
   std::vector<double> gam_preds =
-      explanation->gam().PredictBatch(split.test);
+      explanation->surrogate->PredictBatch(split.test);
   result.gam_r2_forest = RSquared(gam_preds, forest_preds);
   result.gam_r2_labels = RSquared(gam_preds, split.test.targets());
   return result;

@@ -70,7 +70,7 @@ int main() {
     for (double years = 4.0; years <= 16.0; years += 2.0) {
       x[edu] = years;
       gef::EffectInterval effect =
-          explanation->gam().TermEffect(term, x);
+          explanation->surrogate->TermEffect(term, x);
       std::printf("  education_num = %4.1f -> %+6.3f  [%+.3f, %+.3f]\n",
                   years, effect.value, effect.lower, effect.upper);
     }

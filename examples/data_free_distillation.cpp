@@ -68,8 +68,8 @@ int main() {
   gef::Dataset fresh = gef::MakeGPrimeDataset(3000, &fresh_rng);
   double forest_r2 = gef::RSquared(forest->PredictRawBatch(fresh),
                                    fresh.targets());
-  double gam_r2 = gef::RSquared(explanation->gam().PredictBatch(fresh),
-                                fresh.targets());
+  double gam_r2 = gef::RSquared(
+      explanation->surrogate->PredictBatch(fresh), fresh.targets());
   std::printf("\nOn fresh ground-truth data (never seen by either):\n");
   std::printf("  forest R² = %.4f\n", forest_r2);
   std::printf("  GAM    R² = %.4f  (distilled without any real data)\n",

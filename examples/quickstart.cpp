@@ -53,7 +53,7 @@ int main() {
     for (size_t i = 0; i < explanation->selected_features.size(); ++i) {
       std::vector<double> probe = x;
       probe[explanation->selected_features[i]] = v;
-      std::printf("%+7.3f", explanation->gam().TermContribution(
+      std::printf("%+7.3f", explanation->surrogate->TermContribution(
                                 explanation->univariate_term_index[i],
                                 probe));
     }

@@ -83,12 +83,12 @@ int main() {
 
   // --- Audit 4: Kernel SHAP on Γ itself — for an additive GAM its
   // Shapley values should equal its own term contributions. ---
-  const gef::Gam& gam = explanation->gam();
+  const gef::Surrogate& surrogate = *explanation->surrogate;
   gef::KernelShapConfig ks_config;
   ks_config.background_rows = 200;
   gef::KernelShapExplainer auditor(
-      [&gam](const std::vector<double>& row) {
-        return gam.PredictRaw(row);
+      [&surrogate](const std::vector<double>& row) {
+        return surrogate.PredictRaw(row);
       },
       split.train, ks_config);
   std::vector<double> x = {0.25, 0.7, 0.55, 0.4, 0.85};
@@ -99,7 +99,7 @@ int main() {
               "GAM term");
   for (size_t i = 0; i < explanation->selected_features.size(); ++i) {
     int f = explanation->selected_features[i];
-    double term = gam.TermContribution(
+    double term = surrogate.TermContribution(
         explanation->univariate_term_index[i], x);
     std::printf("  %-10s %-+12.4f %-+12.4f\n",
                 forest.feature_names()[f].c_str(), shap.values[f], term);

@@ -48,14 +48,6 @@ struct GamConfig {
   int per_term_rounds = 2;
 };
 
-/// Pointwise partial effect with its 95% Bayesian credible interval
-/// (Wood 2006), as drawn in the paper's spline plots.
-struct EffectInterval {
-  double value = 0.0;
-  double lower = 0.0;
-  double upper = 0.0;
-};
-
 /// A fitted GAM.
 class Gam {
  public:

@@ -2,7 +2,9 @@
 #define GEF_GAM_LINK_H_
 
 // Link functions (paper Sec. 3.5): identity + Normal for regression,
-// logit + Binomial for classification.
+// logit + Binomial for classification. Also home of EffectInterval, so
+// the Surrogate interface (surrogate/surrogate.h) needs only this
+// dependency-free header from the gam layer.
 
 namespace gef {
 
@@ -23,6 +25,14 @@ double LinkVariance(LinkType link, double mu);
 /// Unit deviance d(y, mu); summed over instances it forms the model
 /// deviance used by the logistic GCV criterion.
 double UnitDeviance(LinkType link, double y, double mu);
+
+/// Pointwise partial effect with its 95% Bayesian credible interval
+/// (Wood 2006), as drawn in the paper's spline plots.
+struct EffectInterval {
+  double value = 0.0;
+  double lower = 0.0;
+  double upper = 0.0;
+};
 
 }  // namespace gef
 

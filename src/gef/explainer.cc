@@ -54,14 +54,6 @@ SurrogateConfig MakeSurrogateConfig(const GefConfig& config) {
 
 }  // namespace
 
-const Gam& GefExplanation::gam() const {
-  GEF_CHECK_MSG(surrogate != nullptr, "explanation has no surrogate");
-  const Gam* gam = surrogate->AsGam();
-  GEF_CHECK_MSG(gam != nullptr,
-                "spline_gam-only accessor on a different backend");
-  return *gam;
-}
-
 GefSamplingArtifacts BuildSamplingArtifacts(const Forest& forest,
                                             const GefConfig& config) {
   ValidateConfig(config);

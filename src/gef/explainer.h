@@ -15,7 +15,6 @@
 
 #include "data/dataset.h"
 #include "forest/forest.h"
-#include "gam/gam.h"
 #include "gef/interaction.h"
 #include "gef/sampling.h"
 #include "surrogate/surrogate.h"
@@ -76,7 +75,7 @@ struct GefConfig {
 /// chose.
 struct GefExplanation {
   /// The fitted surrogate backend. Always non-null for a fitted
-  /// explanation; move-only like the Gam it replaced.
+  /// explanation; every consumer reaches Γ through this interface.
   std::unique_ptr<Surrogate> surrogate;
   std::vector<int> selected_features;              // F', importance order
   std::vector<std::pair<int, int>> selected_pairs; // F''
@@ -93,11 +92,6 @@ struct GefExplanation {
   bool fitted() const {
     return surrogate != nullptr && surrogate->fitted();
   }
-
-  /// The underlying spline GAM. Fatal unless the backend is spline_gam;
-  /// spline-specific consumers (ablation benches, λ introspection) use
-  /// this, everything generic goes through `surrogate`.
-  const Gam& gam() const;
 
   /// Fidelity of Γ to the forest on the held-out D* split (RMSE between
   /// Γ and forest outputs — the paper's main tuning metric).

@@ -15,8 +15,7 @@
 //     environment variable is set (or a tool calls obs::Enable). Every
 //     instrumentation macro starts with one relaxed atomic load and a
 //     predictable branch; the disabled path allocates nothing and takes
-//     no locks. Building with -DGEF_OBS=OFF compiles the macros away
-//     entirely for paranoid deployments.
+//     no locks.
 //  2. No locks on hot paths. Events append to a per-thread buffer; the
 //     process-wide registry mutex is taken only when a thread records
 //     its first event and inside Flush().
@@ -157,22 +156,7 @@ Aggregates Flush();
 }  // namespace obs
 }  // namespace gef
 
-// Instrumentation macros. GEF_OBS=OFF (CMake) defines GEF_OBS_DISABLED
-// and compiles them to nothing; otherwise they are runtime-gated.
-#if defined(GEF_OBS_DISABLED)
-#define GEF_OBS_SPAN(name) \
-  do {                     \
-  } while (false)
-#define GEF_OBS_COUNTER_ADD(name, delta) \
-  do {                                   \
-  } while (false)
-#define GEF_OBS_GAUGE_SET(name, value) \
-  do {                                 \
-  } while (false)
-#define GEF_OBS_METRIC(name, step, value) \
-  do {                                    \
-  } while (false)
-#else
+// Instrumentation macros, runtime-gated as above.
 #define GEF_OBS_CONCAT_INNER(a, b) a##b
 #define GEF_OBS_CONCAT(a, b) GEF_OBS_CONCAT_INNER(a, b)
 #define GEF_OBS_SPAN(name) \
@@ -182,6 +166,5 @@ Aggregates Flush();
 #define GEF_OBS_GAUGE_SET(name, value) ::gef::obs::GaugeSet(name, value)
 #define GEF_OBS_METRIC(name, step, value) \
   ::gef::obs::MetricPoint(name, step, value)
-#endif
 
 #endif  // GEF_OBS_OBS_H_

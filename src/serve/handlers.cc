@@ -404,8 +404,10 @@ HttpResponse HandleMetrics() {
 }  // namespace
 
 // Declared in handlers.h (shared with the reactor's burst-batched
-// inline predicts). Numbers go through std::from_chars, which rejects
-// the hex/inf/nan spellings strtod would sneak past JSON.
+// inline predicts). Numbers must match JsonNumberLength, ParseJson's
+// grammar, before std::from_chars converts them; a number from_chars
+// cannot represent (an underflow like 1e-400, which strtod reads as 0)
+// declines the body, and the generic path answers it.
 bool ScanPredictBody(const std::string& body, bool* have_model,
                      std::string_view* model_name,
                      std::vector<double>* row) {
@@ -422,7 +424,10 @@ bool ScanPredictBody(const std::string& body, bool* have_model,
     ++p;
     const char* start = p;
     while (p < end && *p != '"') {
-      if (*p == '\\') return false;  // escapes: generic path
+      // Escapes go to the generic path; raw control bytes are not JSON.
+      if (*p == '\\' || static_cast<unsigned char>(*p) < 0x20) {
+        return false;
+      }
       ++p;
     }
     if (p >= end) return false;
@@ -451,10 +456,11 @@ bool ScanPredictBody(const std::string& body, bool* have_model,
       ++p;
       skip_ws();
       while (p < end && *p != ']') {
-        if (*p != '-' && (*p < '0' || *p > '9')) return false;
+        const char* const number_end = p + JsonNumberLength(p, end);
+        if (number_end == p) return false;
         double value = 0.0;
-        const auto [next, ec] = std::from_chars(p, end, value);
-        if (ec != std::errc()) return false;
+        const auto [next, ec] = std::from_chars(p, number_end, value);
+        if (ec != std::errc() || next != number_end) return false;
         row->push_back(value);
         p = next;
         skip_ws();
@@ -462,6 +468,8 @@ bool ScanPredictBody(const std::string& body, bool* have_model,
           ++p;
           skip_ws();
           if (p >= end || *p == ']') return false;  // trailing comma
+        } else if (p < end && *p != ']') {
+          return false;  // missing comma
         }
       }
       if (p >= end) return false;
@@ -475,6 +483,8 @@ bool ScanPredictBody(const std::string& body, bool* have_model,
       ++p;
       skip_ws();
       if (p < end && *p == '}') return false;  // trailing comma
+    } else if (p < end && *p != '}') {
+      return false;  // missing comma
     }
   }
   if (p >= end) return false;

@@ -54,9 +54,11 @@ HttpResponse HandleRequest(const ServeContext& context,
 /// WITHOUT reporting an error on any other shape (escapes, "rows",
 /// unknown members, malformed JSON): callers fall back to the generic
 /// Json-tree path in HandleRequest, which owns the full grammar and
-/// the exact error responses. Shared between the predict handler's
-/// fast path and the reactor's burst-batched inline predicts, which
-/// must accept exactly the same bodies.
+/// the exact error responses. Every body it accepts is one ParseJson
+/// accepts, with the same model and bit-identical row (serve_test checks
+/// this on mutated bodies). Shared between the predict handler's fast
+/// path and the reactor's burst-batched inline predicts, which must
+/// accept exactly the same bodies.
 bool ScanPredictBody(const std::string& body, bool* have_model,
                      std::string_view* model_name,
                      std::vector<double>* row);

@@ -72,7 +72,6 @@ class SplineGamSurrogate : public Surrogate {
   std::string DescribeFit() const override;
   std::string SerializeText() const override;
   uint64_t ContentHash() const override { return gam_.ContentHash(); }
-  const Gam* AsGam() const override { return &gam_; }
 
  private:
   Gam gam_;

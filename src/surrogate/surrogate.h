@@ -6,9 +6,13 @@
 // fits on D* is a `Surrogate` backend chosen by stable name through
 // surrogate/registry.h. The paper fixes this to one spline GAM; the
 // interface below is exactly the contract the rest of the system
-// (reports, local explanations, serving, the binary store) consumes,
-// so alternative families — boosted low-order fANOVA models, rule
-// lists — plug in without touching any consumer.
+// (reports, local explanations, serving, the binary store, the tools,
+// benches and examples) consumes, so alternative families — boosted
+// low-order fANOVA models, rule lists — plug in without touching any
+// consumer. No accessor leads back to a backend's concrete model: the
+// layers above this one, the tools and the examples include no gam/
+// header (gef_lint's gef-gam-boundary), and this header takes only
+// gam/link.h.
 //
 // Term indexing convention shared by every backend: term 0 is the
 // intercept; terms 1..U model the selected univariate components in
@@ -24,7 +28,6 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "gam/gam.h"
 #include "gam/link.h"
 
 namespace gef {
@@ -121,11 +124,6 @@ class Surrogate {
   /// FNV-1a 64 over SerializeText() — the shippable-surrogate identity
   /// used by the serving layer.
   virtual uint64_t ContentHash() const = 0;
-
-  /// The underlying spline GAM when this backend is one, else nullptr.
-  /// Spline-specific consumers (bench ablations, λ introspection) use
-  /// this; generic consumers must stay on the interface.
-  virtual const Gam* AsGam() const { return nullptr; }
 };
 
 }  // namespace gef

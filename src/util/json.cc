@@ -1,6 +1,5 @@
 #include "util/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -33,7 +32,8 @@ class Parser {
 
   void SkipSpace() {
     while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r')) {
       ++pos_;
     }
   }
@@ -74,34 +74,24 @@ class Parser {
         case 'r': out->push_back('\r'); break;
         case 't': out->push_back('\t'); break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("bad \\u escape");
           unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
+          if (!ParseHex4(&code)) return Error("bad \\u escape");
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            // A high surrogate must be followed by \u of a low one; the
+            // pair encodes one code point above the BMP.
+            unsigned low = 0;
+            if (text_.compare(pos_, 2, "\\u") != 0) {
               return Error("bad \\u escape");
             }
+            pos_ += 2;
+            if (!ParseHex4(&low) || low < 0xDC00 || low > 0xDFFF) {
+              return Error("bad \\u escape");
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+          } else if (code >= 0xDC00 && code <= 0xDFFF) {
+            return Error("bad \\u escape");  // lone low surrogate
           }
-          // UTF-8 encode the BMP code point (surrogate pairs are rare
-          // in numeric payloads; lone surrogates encode as-is).
-          if (code < 0x80) {
-            out->push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out->push_back(
-                static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
+          AppendUtf8(code, out);
           break;
         }
         default:
@@ -113,50 +103,51 @@ class Parser {
     return Status::Ok();
   }
 
+  // Four hex digits of a \u escape.
+  bool ParseHex4(unsigned* code) {
+    if (pos_ + 4 > text_.size()) return false;
+    for (int i = 0; i < 4; ++i) {
+      char h = text_[pos_++];
+      *code <<= 4;
+      if (h >= '0' && h <= '9') {
+        *code |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        *code |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        *code |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  static void AppendUtf8(unsigned code, std::string* out) {
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else if (code < 0x10000) {
+      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
+  }
+
   Status ParseNumber(Json* out) {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool digits = false;
-    const size_t int_start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-      digits = true;
-    }
-    // RFC 8259: the integer part is "0" or starts with 1-9; "01" is
-    // malformed and must be rejected like any other bad byte.
-    if (pos_ - int_start > 1 && text_[int_start] == '0') {
-      return Error("leading zero in number");
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      bool fraction = false;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        fraction = true;
-      }
-      if (!fraction) return Error("bad number");
-    }
-    if (pos_ < text_.size() &&
-        (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() &&
-          (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      bool exponent = false;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        exponent = true;
-      }
-      if (!exponent) return Error("bad number");
-    }
-    if (!digits) return Error("bad number");
+    const char* begin = text_.data() + pos_;
+    const size_t length =
+        JsonNumberLength(begin, text_.data() + text_.size());
+    if (length == 0) return Error("bad number");
+    pos_ += length;
     out->type = Json::Type::kNumber;
-    out->number =
-        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    out->number = std::strtod(std::string(begin, length).c_str(), nullptr);
     if (!std::isfinite(out->number)) return Error("number overflow");
     return Status::Ok();
   }
@@ -254,6 +245,32 @@ const Json* Json::Find(const std::string& key) const {
   if (type != Type::kObject) return nullptr;
   auto it = object.find(key);
   return it == object.end() ? nullptr : &it->second;
+}
+
+size_t JsonNumberLength(const char* begin, const char* end) {
+  const auto skip_digits = [end](const char* p) {
+    while (p < end && *p >= '0' && *p <= '9') ++p;
+    return p;
+  };
+  const char* p = begin;
+  if (p < end && *p == '-') ++p;
+  const char* digits = p;
+  p = skip_digits(p);
+  // The integer part is "0" or starts with 1-9.
+  if (p == digits || (p - digits > 1 && *digits == '0')) return 0;
+  if (p < end && *p == '.') {
+    digits = ++p;
+    p = skip_digits(p);
+    if (p == digits) return 0;
+  }
+  if (p < end && (*p == 'e' || *p == 'E')) {
+    ++p;
+    if (p < end && (*p == '+' || *p == '-')) ++p;
+    digits = p;
+    p = skip_digits(p);
+    if (p == digits) return 0;
+  }
+  return static_cast<size_t>(p - begin);
 }
 
 StatusOr<Json> ParseJson(const std::string& text, int max_depth) {

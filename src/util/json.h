@@ -2,12 +2,15 @@
 #define GEF_UTIL_JSON_H_
 
 // The repo's one JSON implementation: a strict recursive-descent parser
-// producing a tagged value tree, and the escape/number writers every
-// JSON producer uses — serving responses (serve/), the obs JSONL trace
-// (obs/) and the bench reports (tools/). Dependency-free by repo policy;
-// request bodies are external input, so every malformed byte surfaces as
-// a ParseError Status (mapped to HTTP 400 by the handlers), never a
-// crash.
+// producing a tagged value tree, the number grammar, and the
+// escape/number writers every JSON producer uses — serving responses
+// (serve/), the obs JSONL trace (obs/) and the bench reports (tools/).
+// Dependency-free by repo policy; request bodies are external input, so
+// every malformed byte surfaces as a ParseError Status (mapped to HTTP
+// 400 by the handlers), never a crash. The parser follows RFC 8259:
+// whitespace is space, tab, LF and CR only, and a \u escape of a UTF-16
+// surrogate pair decodes to one 4-byte UTF-8 sequence (a lone surrogate,
+// which has no UTF-8 form, is rejected).
 
 #include <cstddef>
 #include <map>
@@ -39,6 +42,14 @@ struct Json {
 /// Parses `text` (entire buffer must be one JSON value). `max_depth`
 /// bounds nesting so a deeply nested body cannot blow the stack.
 StatusOr<Json> ParseJson(const std::string& text, int max_depth = 64);
+
+/// The one JSON number grammar (RFC 8259:
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`): the length of the
+/// number token that starts at `begin`, read greedily up to `end`, or 0
+/// when those bytes are not a number ("01", "1.", "-.5", "1e", "+1").
+/// ParseJson and the serving layer's canonical predict scanner both
+/// call it, so they accept the same spellings.
+size_t JsonNumberLength(const char* begin, const char* end);
 
 /// Escapes `text` for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters as \b \f \n \r \t or \u00XX). Bytes

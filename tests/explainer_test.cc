@@ -78,7 +78,7 @@ TEST(ExplainerTest, RespectsRequestedComponentCounts) {
               explanation->selected_features.end());
   }
   // GAM has intercept + 3 + 2 terms.
-  EXPECT_EQ(explanation->gam().num_terms(), 6u);
+  EXPECT_EQ(explanation->surrogate->num_terms(), 6u);
 }
 
 TEST(ExplainerTest, ReconstructsGeneratorComponents) {
@@ -97,7 +97,7 @@ TEST(ExplainerTest, ReconstructsGeneratorComponents) {
     std::vector<double> x(5, 0.5);
     for (double v = 0.05; v <= 0.95; v += 0.05) {
       x[feature] = v;
-      fitted.push_back(explanation->gam().TermContribution(term, x));
+      fitted.push_back(explanation->surrogate->TermContribution(term, x));
       truth.push_back(SyntheticComponent(feature, v));
     }
     EXPECT_GT(PearsonCorrelation(fitted, truth), 0.9)
@@ -127,7 +127,7 @@ TEST(ExplainerTest, ClassificationForestGetsLogitGam) {
   std::vector<double> gam_p, forest_p;
   for (int i = 0; i < 50; ++i) {
     std::vector<double> x = {rng.Uniform(), rng.Uniform()};
-    gam_p.push_back(explanation->gam().Predict(x));
+    gam_p.push_back(explanation->surrogate->Predict(x));
     forest_p.push_back(forest.Predict(x));
     EXPECT_GE(gam_p.back(), 0.0);
     EXPECT_LE(gam_p.back(), 1.0);
@@ -157,9 +157,10 @@ TEST(ExplainerTest, CategoricalHeuristicUsesFactorTerm) {
     int term = explanation->univariate_term_index[i];
     if (feature == 0) {
       EXPECT_TRUE(explanation->is_categorical[i]);
-      EXPECT_EQ(explanation->gam().term(term).type(), TermType::kFactor);
+      EXPECT_TRUE(explanation->surrogate->TermIsFactor(term));
     } else {
-      EXPECT_EQ(explanation->gam().term(term).type(), TermType::kSpline);
+      // A univariate spline_gam term is either a factor or a spline.
+      EXPECT_FALSE(explanation->surrogate->TermIsFactor(term));
     }
   }
 }
@@ -197,7 +198,7 @@ TEST(ExplainerTest, GeneralizesOffTheSamplingLattice) {
   for (int i = 0; i < 500; ++i) {
     std::vector<double> x(5);
     for (double& v : x) v = rng.Uniform();
-    gam_out.push_back(explanation->gam().Predict(x));
+    gam_out.push_back(explanation->surrogate->Predict(x));
     forest_out.push_back(forest.PredictRaw(x));
   }
   EXPECT_GT(RSquared(gam_out, forest_out), 0.9);
@@ -217,8 +218,8 @@ TEST(ExplainerTest, TwoStageApiMatchesOneShot) {
   EXPECT_DOUBLE_EQ(one_shot->fidelity_rmse_test,
                    two_stage->fidelity_rmse_test);
   std::vector<double> x = {0.3, 0.6, 0.52, 0.1, 0.8};
-  EXPECT_DOUBLE_EQ(one_shot->gam().PredictRaw(x),
-                   two_stage->gam().PredictRaw(x));
+  EXPECT_DOUBLE_EQ(one_shot->surrogate->PredictRaw(x),
+                   two_stage->surrogate->PredictRaw(x));
 }
 
 TEST(ExplainerTest, ArtifactsReusableAcrossComponentCounts) {

@@ -63,8 +63,8 @@ TEST_F(ExplanationIoFixture, RestoredExplanationPredictsIdentically) {
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<double> x(5);
     for (double& v : x) v = rng.Uniform();
-    EXPECT_NEAR((*restored)->gam().PredictRaw(x),
-                explanation_->gam().PredictRaw(x), 1e-12);
+    EXPECT_NEAR((*restored)->surrogate->PredictRaw(x),
+                explanation_->surrogate->PredictRaw(x), 1e-12);
   }
 }
 

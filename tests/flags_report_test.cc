@@ -178,7 +178,7 @@ TEST_F(ReportFixture, CsvEffectsMatchGamContributions) {
     row[f] = domain[domain.size() / 2];
   }
   row[feature] = x;
-  EXPECT_NEAR(effect, explanation_->gam().TermContribution(term, row),
+  EXPECT_NEAR(effect, explanation_->surrogate->TermContribution(term, row),
               1e-9);
   std::remove(path.c_str());
 }

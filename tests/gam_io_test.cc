@@ -1,16 +1,17 @@
 // Tests for GAM text (de)serialization: exact round-trip of predictions,
 // term contributions and credible intervals, plus malformed-input
-// rejection.
+// rejection. The fixture fits a Gam directly, so these tests exercise
+// the gam layer alone; explanation_io_test covers the round trip of a
+// pipeline-fitted surrogate.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
-#include "forest/gbdt_trainer.h"
 #include "gam/gam_io.h"
-#include "gef/explainer.h"
 
 namespace gef {
 namespace {
@@ -20,60 +21,60 @@ class GamIoFixture : public ::testing::Test {
   void SetUp() override {
     Rng rng(66);
     Dataset data = MakeGPrimeDataset(2000, &rng);
-    GbdtConfig fc;
-    fc.num_trees = 40;
-    fc.num_leaves = 8;
-    Forest forest = TrainGbdt(data, nullptr, fc).forest;
-    GefConfig config;
-    config.num_univariate = 3;
-    config.num_bivariate = 1;
-    config.num_samples = 2000;
-    config.k = 16;
-    explanation_ = ExplainForest(forest, config);
-    ASSERT_NE(explanation_, nullptr);
+    auto quantile_basis = [&data](int feature, int num_basis) {
+      std::vector<double> sites = data.Column(feature);
+      std::sort(sites.begin(), sites.end());
+      return BSplineBasis::FromSites(sites, num_basis);
+    };
+    // Every spline layout the text format stores: uniform knots,
+    // quantile knots, and a tensor over one of each.
+    TermList terms;
+    terms.push_back(std::make_unique<InterceptTerm>());
+    terms.push_back(std::make_unique<SplineTerm>(0, 0.0, 1.0, 10));
+    terms.push_back(std::make_unique<SplineTerm>(1, quantile_basis(1, 10)));
+    terms.push_back(std::make_unique<SplineTerm>(2, quantile_basis(2, 10)));
+    terms.push_back(std::make_unique<TensorTerm>(
+        3, quantile_basis(3, 6), 4, BSplineBasis(0.0, 1.0, 6)));
+    ASSERT_TRUE(gam_.Fit(std::move(terms), data, GamConfig()));
   }
 
-  std::unique_ptr<GefExplanation> explanation_;
+  Gam gam_;
 };
 
 TEST_F(GamIoFixture, RoundTripPreservesPredictions) {
-  const Gam& original = explanation_->gam();
-  auto restored = GamFromString(GamToString(original));
+  auto restored = GamFromString(GamToString(gam_));
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   Rng rng(67);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<double> x(5);
     for (double& v : x) v = rng.Uniform(-0.2, 1.2);
-    EXPECT_NEAR(restored->PredictRaw(x), original.PredictRaw(x), 1e-12);
-    EXPECT_NEAR(restored->Predict(x), original.Predict(x), 1e-12);
+    EXPECT_NEAR(restored->PredictRaw(x), gam_.PredictRaw(x), 1e-12);
+    EXPECT_NEAR(restored->Predict(x), gam_.Predict(x), 1e-12);
   }
 }
 
 TEST_F(GamIoFixture, RoundTripPreservesTermStructure) {
-  const Gam& original = explanation_->gam();
-  auto restored = GamFromString(GamToString(original));
+  auto restored = GamFromString(GamToString(gam_));
   ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored->num_terms(), original.num_terms());
-  for (size_t t = 0; t < original.num_terms(); ++t) {
-    EXPECT_EQ(restored->term(t).type(), original.term(t).type());
-    EXPECT_EQ(restored->term(t).num_coeffs(),
-              original.term(t).num_coeffs());
-    EXPECT_EQ(restored->TermLabel(t), original.TermLabel(t));
+  ASSERT_EQ(restored->num_terms(), gam_.num_terms());
+  for (size_t t = 0; t < gam_.num_terms(); ++t) {
+    EXPECT_EQ(restored->term(t).type(), gam_.term(t).type());
+    EXPECT_EQ(restored->term(t).num_coeffs(), gam_.term(t).num_coeffs());
+    EXPECT_EQ(restored->TermLabel(t), gam_.TermLabel(t));
   }
-  EXPECT_DOUBLE_EQ(restored->lambda(), original.lambda());
-  EXPECT_DOUBLE_EQ(restored->edof(), original.edof());
-  EXPECT_DOUBLE_EQ(restored->scale(), original.scale());
-  EXPECT_EQ(restored->term_lambdas(), original.term_lambdas());
-  EXPECT_EQ(restored->term_importances(), original.term_importances());
+  EXPECT_DOUBLE_EQ(restored->lambda(), gam_.lambda());
+  EXPECT_DOUBLE_EQ(restored->edof(), gam_.edof());
+  EXPECT_DOUBLE_EQ(restored->scale(), gam_.scale());
+  EXPECT_EQ(restored->term_lambdas(), gam_.term_lambdas());
+  EXPECT_EQ(restored->term_importances(), gam_.term_importances());
 }
 
 TEST_F(GamIoFixture, RoundTripPreservesEffectIntervals) {
-  const Gam& original = explanation_->gam();
-  auto restored = GamFromString(GamToString(original));
+  auto restored = GamFromString(GamToString(gam_));
   ASSERT_TRUE(restored.ok());
   std::vector<double> x = {0.3, 0.6, 0.2, 0.8, 0.5};
-  for (size_t t = 1; t < original.num_terms(); ++t) {
-    EffectInterval a = original.TermEffect(t, x);
+  for (size_t t = 1; t < gam_.num_terms(); ++t) {
+    EffectInterval a = gam_.TermEffect(t, x);
     EffectInterval b = restored->TermEffect(t, x);
     EXPECT_NEAR(a.value, b.value, 1e-12);
     EXPECT_NEAR(a.lower, b.lower, 1e-12);
@@ -85,23 +86,22 @@ TEST_F(GamIoFixture, FileRoundTrip) {
   std::string path =
       (std::filesystem::temp_directory_path() / "gef_gam_test.txt")
           .string();
-  ASSERT_TRUE(SaveGam(explanation_->gam(), path).ok());
+  ASSERT_TRUE(SaveGam(gam_, path).ok());
   auto restored = LoadGam(path);
   ASSERT_TRUE(restored.ok());
-  EXPECT_NEAR(restored->intercept(), explanation_->gam().intercept(),
-              1e-12);
+  EXPECT_NEAR(restored->intercept(), gam_.intercept(), 1e-12);
   std::remove(path.c_str());
 }
 
 TEST_F(GamIoFixture, TruncatedInputRejected) {
-  std::string text = GamToString(explanation_->gam());
+  std::string text = GamToString(gam_);
   auto result = GamFromString(text.substr(0, text.size() / 3));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }
 
 TEST_F(GamIoFixture, TamperedTermRejected) {
-  std::string text = GamToString(explanation_->gam());
+  std::string text = GamToString(gam_);
   size_t pos = text.find("term spline");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, std::string("term spline").size(), "term mystery");

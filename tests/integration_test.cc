@@ -56,7 +56,7 @@ TEST(IntegrationTest, DataFreeExplanationFromSerializedModel) {
   for (int i = 0; i < 300; ++i) {
     std::vector<double> x(5);
     for (double& v : x) v = probe_rng.Uniform();
-    gam_out.push_back(explanation->gam().Predict(x));
+    gam_out.push_back(explanation->surrogate->Predict(x));
     true_out.push_back(GPrime(x));
   }
   EXPECT_GT(RSquared(gam_out, true_out), 0.9);
@@ -92,7 +92,7 @@ TEST(IntegrationTest, GefAndShapAgreeOnFeatureTrends) {
     for (size_t s = 0; s < shap.feature_values[feature].size(); ++s) {
       x[feature] = shap.feature_values[feature][s];
       spline_vals.push_back(
-          explanation->gam().TermContribution(term, x));
+          explanation->surrogate->TermContribution(term, x));
       shap_vals.push_back(shap.shap_values[feature][s]);
     }
     EXPECT_GT(PearsonCorrelation(spline_vals, shap_vals), 0.8)
@@ -174,9 +174,9 @@ TEST(IntegrationTest, CensusClassificationPipeline) {
     int term = explanation->univariate_term_index[idx];
     std::vector<double> x(data.num_features(), 0.0);
     x[edu] = 5.0;
-    double low = explanation->gam().TermContribution(term, x);
+    double low = explanation->surrogate->TermContribution(term, x);
     x[edu] = 14.0;
-    double high = explanation->gam().TermContribution(term, x);
+    double high = explanation->surrogate->TermContribution(term, x);
     EXPECT_GT(high, low);
   }
 

@@ -136,13 +136,13 @@ TEST(KernelShapTest, ExplainsTheGefSurrogateItself) {
   gef_config.k = 24;
   auto explanation = ExplainForest(forest, gef_config);
   ASSERT_NE(explanation, nullptr);
-  const Gam& gam = explanation->gam();
+  const Surrogate& surrogate = *explanation->surrogate;
 
   KernelShapConfig config;
   config.background_rows = 200;
   KernelShapExplainer explainer(
-      [&gam](const std::vector<double>& row) {
-        return gam.PredictRaw(row);
+      [&surrogate](const std::vector<double>& row) {
+        return surrogate.PredictRaw(row);
       },
       data, config);
   std::vector<double> x = {0.2, 0.8, 0.55, 0.4, 0.7};
@@ -152,7 +152,7 @@ TEST(KernelShapTest, ExplainsTheGefSurrogateItself) {
   for (size_t i = 0; i < explanation->selected_features.size(); ++i) {
     int feature = explanation->selected_features[i];
     int term = explanation->univariate_term_index[i];
-    double contribution = gam.TermContribution(term, x);
+    double contribution = surrogate.TermContribution(term, x);
     // The term is mean-zero over D*, the background is the original
     // distribution — allow a loose tolerance for that mismatch.
     EXPECT_NEAR(e.values[feature], contribution, 0.25)

@@ -103,7 +103,7 @@ TEST_F(ParserRobustnessFixture, ForestParserNeverCrashes) {
 }
 
 TEST_F(ParserRobustnessFixture, GamParserNeverCrashes) {
-  std::string text = GamToString(explanation_->gam());
+  std::string text = explanation_->surrogate->SerializeText();
   Rng rng(102);
   for (int trial = 0; trial < 300; ++trial) {
     std::string mutated = Mutate(text, &rng);
@@ -121,7 +121,7 @@ TEST_F(ParserRobustnessFixture, ExplanationParserNeverCrashes) {
     std::string mutated = Mutate(text, &rng);
     auto result = ExplanationFromString(mutated);
     if (result.ok()) {
-      (*result)->gam().PredictRaw({0.5, 0.5, 0.5, 0.5, 0.5});
+      (*result)->surrogate->PredictRaw({0.5, 0.5, 0.5, 0.5, 0.5});
     }
   }
 }
@@ -225,7 +225,7 @@ TEST_F(ParserRobustnessFixture, NanGamCoefficientRejected) {
   // Replace the first coefficient on the "beta" line with nan: the text
   // still parses (strtod accepts "nan"), so only ValidateGam stands
   // between the file and a model that predicts NaN everywhere.
-  std::string text = GamToString(explanation_->gam());
+  std::string text = explanation_->surrogate->SerializeText();
   size_t beta = text.find("\nbeta ");
   ASSERT_NE(beta, std::string::npos);
   size_t first = beta + 6;
@@ -246,7 +246,7 @@ TEST_F(ParserRobustnessFixture, NanGamCoefficientRejected) {
 TEST_F(ParserRobustnessFixture, TruncatedCoefficientBlockRejected) {
   // Drop the last coefficient from the "beta" line; the declared term
   // layout no longer matches the vector length.
-  std::string text = GamToString(explanation_->gam());
+  std::string text = explanation_->surrogate->SerializeText();
   size_t beta = text.find("\nbeta ");
   ASSERT_NE(beta, std::string::npos);
   size_t line_end = text.find('\n', beta + 1);

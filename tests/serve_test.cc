@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -1669,6 +1670,101 @@ TEST_F(HandlersTest, PredictFastScanRejectsOddBodiesViaGenericPath) {
             400);
   EXPECT_EQ(Call("POST", "/v1/predict", "{\"row\":[\"a\"],}").status,
             400);
+
+  // Canonical shape and the model's width, but not JSON: a scanner that
+  // let one of these through would score it and answer 200.
+  const std::string row = RowLiteral();  // "[0.5,0.5,...]"
+  ASSERT_EQ(row.compare(0, 9, "[0.5,0.5,"), 0);
+  const std::string head = "{\"model\":\"census\",\"row\":[";
+  ASSERT_EQ(Call("POST", "/v1/predict", head + row.substr(1) + "}").status,
+            200);
+  for (const char* number : {"01", "1.", "1.e5", "-01.5", "-.5"}) {
+    EXPECT_EQ(Call("POST", "/v1/predict",
+                   head + number + row.substr(4) + "}")
+                  .status,
+              400)
+        << number;
+  }
+  // No comma between two row values, or between the members.
+  EXPECT_EQ(
+      Call("POST", "/v1/predict", head + "1 2" + row.substr(8) + "}").status,
+      400);
+  EXPECT_EQ(Call("POST", "/v1/predict",
+                 "{\"model\":\"census\" \"row\":" + row + "}")
+                .status,
+            400);
+  // A raw tab inside the model name is not JSON; the escaped name is.
+  ASSERT_TRUE(registry_.AddModel("cen\tsus", TrainSmallForest()).ok());
+  EXPECT_EQ(Call("POST", "/v1/predict",
+                 "{\"model\":\"cen\tsus\",\"row\":" + row + "}")
+                .status,
+            400);
+  EXPECT_EQ(Call("POST", "/v1/predict",
+                 "{\"model\":\"cen\\tsus\",\"row\":" + row + "}")
+                .status,
+            200);
+}
+
+// Differential check of the scanner against ParseJson: every mutated
+// canonical body the scanner accepts must be JSON whose only members are
+// the scanner's model and its row, bit for bit.
+TEST_F(HandlersTest, PredictFastScanAcceptsOnlyWhatParseJsonReadsAlike) {
+  const char* const kNumbers[] = {"0.5", "-1.25e-3", "12", "0",
+                                  "-0",  "3E+2",     "7.0e1"};
+  // Bytes that make or break JSON next to numbers, strings and commas.
+  const std::string alphabet =
+      std::string("0123456789.-+eE ,[]{}:\"\\\t\n\v\f\x01") + "ax";
+  Rng rng(2020);
+  int accepted = 0;
+  for (int trial = 0; trial < 100000; ++trial) {
+    std::string body = rng.UniformInt(2) == 0
+                           ? "{\"model\":\"census\",\"row\":["
+                           : "{\"row\":[";
+    const uint64_t width = 1 + rng.UniformInt(4);
+    for (uint64_t i = 0; i < width; ++i) {
+      if (i != 0) body += rng.UniformInt(3) == 0 ? ", " : ",";
+      body += kNumbers[rng.UniformInt(std::size(kNumbers))];
+    }
+    body += "]}";
+    for (uint64_t m = 1 + rng.UniformInt(2); m > 0; --m) {
+      const size_t at = rng.UniformInt(body.size());
+      const char c = alphabet[rng.UniformInt(alphabet.size())];
+      switch (rng.UniformInt(3)) {
+        case 0: body[at] = c; break;
+        case 1: body.erase(at, 1); break;
+        default: body.insert(at, 1, c); break;
+      }
+    }
+
+    bool have_model = false;
+    std::string_view model;
+    std::vector<double> row;
+    if (!serve::ScanPredictBody(body, &have_model, &model, &row)) {
+      continue;
+    }
+    ++accepted;
+    auto parsed = ParseJson(body);
+    ASSERT_TRUE(parsed.ok()) << body;
+    ASSERT_TRUE(parsed->is_object()) << body;
+    EXPECT_EQ(parsed->object.size(), have_model ? 2u : 1u) << body;
+    if (have_model) {
+      const Json* name = parsed->Find("model");
+      ASSERT_TRUE(name != nullptr && name->is_string()) << body;
+      EXPECT_EQ(name->str, model) << body;
+    }
+    const Json* values = parsed->Find("row");
+    ASSERT_TRUE(values != nullptr && values->is_array()) << body;
+    ASSERT_EQ(values->array.size(), row.size()) << body;
+    for (size_t i = 0; i < row.size(); ++i) {
+      ASSERT_TRUE(values->array[i].is_number()) << body;
+      EXPECT_EQ(std::bit_cast<uint64_t>(values->array[i].number),
+                std::bit_cast<uint64_t>(row[i]))
+          << body;
+    }
+  }
+  // Enough mutants survive (a whitespace or digit change) for the
+  // comparison to mean something.
+  EXPECT_GT(accepted, 6000);
 }
 
 }  // namespace

@@ -221,6 +221,47 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("{\"a\"}").ok());
   EXPECT_FALSE(ParseJson("nul").ok());
   EXPECT_FALSE(ParseJson("01").ok());
+  // Number spellings strtod would read but RFC 8259 forbids.
+  for (const char* bad : {"-01.5", "1.", "1.e5", "-.5", ".5", "+1", "1e",
+                          "1e+", "-", "0x10", "inf", "nan"}) {
+    EXPECT_FALSE(ParseJson(bad).ok()) << bad;
+  }
+  // Whitespace is space, tab, LF and CR only.
+  EXPECT_TRUE(ParseJson(" \t\r\n[1,\n2]\r\n").ok());
+  EXPECT_FALSE(ParseJson("[1,\v2]").ok());
+  EXPECT_FALSE(ParseJson("\f1").ok());
+}
+
+TEST(JsonTest, NumberLengthReadsOneToken) {
+  const auto length = [](const std::string& text) {
+    return JsonNumberLength(text.data(), text.data() + text.size());
+  };
+  EXPECT_EQ(length("-0.25e+3,"), 8u);
+  EXPECT_EQ(length("0]"), 1u);
+  EXPECT_EQ(length("1E5"), 3u);
+  EXPECT_EQ(length("01"), 0u);
+  EXPECT_EQ(length("1.e5"), 0u);
+  EXPECT_EQ(length(""), 0u);
+  // ParseJson converts with strtod, so an underflow still reads as 0.
+  auto tiny = ParseJson("1e-400");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(tiny->number, 0.0);
+}
+
+TEST(JsonTest, SurrogatePairsDecodeToUtf8) {
+  // U+1F600 as Python's json.dumps writes it by default.
+  auto pair = ParseJson(R"("\ud83d\ude00")");
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  EXPECT_EQ(pair->str, "\xf0\x9f\x98\x80");
+  auto bmp = ParseJson(R"("\u00e9\u20ac")");
+  ASSERT_TRUE(bmp.ok());
+  EXPECT_EQ(bmp->str, "\xc3\xa9\xe2\x82\xac");
+  // A lone surrogate has no UTF-8 form.
+  EXPECT_FALSE(ParseJson(R"("\ud83d")").ok());        // lone high
+  EXPECT_FALSE(ParseJson(R"("\ude00")").ok());        // lone low
+  EXPECT_FALSE(ParseJson(R"("\ud83dx")").ok());       // high, no escape
+  EXPECT_FALSE(ParseJson(R"("\ud83d\u0041")").ok());  // high, non-low
+  EXPECT_FALSE(ParseJson(R"("\ud83d\ud83d")").ok());  // high, high
 }
 
 TEST(JsonTest, DepthLimitBoundsRecursion) {

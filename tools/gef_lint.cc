@@ -24,11 +24,19 @@
 // Architectural passes (DESIGN.md §3.16):
 //   gef-layer-order     include-graph layering. src/ layers form a total
 //                       order — util → obs → linalg → stats → data →
-//                       forest → gam → explain → gef → serve — and a
-//                       file may only include headers of its own or a
-//                       lower layer. Upward includes (and therefore any
-//                       include cycle) fail the gate. tools/, tests/,
-//                       bench/ and examples/ sit above every layer.
+//                       forest → gam → surrogate → explain → gef →
+//                       store → serve — and a file may only include
+//                       headers of its own or a lower layer. Upward
+//                       includes (and therefore any include cycle) fail
+//                       the gate. tools/, tests/, bench/ and examples/
+//                       sit above every layer.
+//   gef-gam-boundary    the surrogate boundary. Code above the surrogate
+//                       layer — src/ explain, gef, store and serve,
+//                       tools/ and examples/ — reaches Γ only through
+//                       surrogate/surrogate.h and must not include a
+//                       gam/ header. tests/ and bench/ may: the gam
+//                       layer's own tests and the paper's GAM figures
+//                       fit a Gam directly.
 //   gef-layer-unknown   a directory under src/ that has no assigned
 //                       rank: adding a layer requires declaring its
 //                       place in the DAG here.
@@ -426,6 +434,29 @@ void LayeringPass(const ScannedFile& file, std::vector<Violation>* out) {
   }
 }
 
+// Above the surrogate boundary: src/ layers ranked over surrogate, and
+// the tools and examples.
+bool AboveSurrogateLayer(const ScannedFile& file) {
+  if (!file.layer.empty()) return file.rank > LayerRank("surrogate");
+  const std::string top =
+      file.rel.empty() ? std::string() : file.rel.begin()->string();
+  return top == "tools" || top == "examples";
+}
+
+void GamBoundaryPass(const ScannedFile& file, std::vector<Violation>* out) {
+  if (!AboveSurrogateLayer(file)) return;
+  for (size_t l = 0; l < file.text.raw.size(); ++l) {
+    if (file.text.raw[l].find("NOLINT") != std::string::npos) continue;
+    if (ParseQuotedInclude(file.text.raw[l]).rfind("gam/", 0) != 0) {
+      continue;
+    }
+    out->push_back({file.path.string(), l + 1, "gef-gam-boundary",
+                    "gam/ header above the surrogate layer; reach the "
+                    "surrogate through surrogate/surrogate.h (the "
+                    "Surrogate interface) instead"});
+  }
+}
+
 // ---------------------------------------------------------------------
 // Per-line pass (style, hygiene, determinism rules).
 // ---------------------------------------------------------------------
@@ -527,7 +558,7 @@ int main(int argc, char** argv) {
       for (const auto& entry : fs::recursive_directory_iterator(sub)) {
         if (!entry.is_regular_file()) continue;
         const std::string ext = entry.path().extension().string();
-        if (ext != ".cc" && ext != ".h") continue;
+        if (ext != ".cc" && ext != ".cpp" && ext != ".h") continue;
         ScannedFile file;
         file.path = entry.path();
         file.rel = fs::relative(entry.path(), root);
@@ -555,6 +586,7 @@ int main(int argc, char** argv) {
   for (const ScannedFile& file : files) {
     LineRulesPass(file, &violations);
     LayeringPass(file, &violations);
+    GamBoundaryPass(file, &violations);
   }
 
   for (const Violation& v : violations) {
