@@ -18,7 +18,6 @@
 #include "gam/gam.h"
 #include "linalg/block_sparse.h"
 #include "linalg/cholesky.h"
-#include "stats/quantile_sketch.h"
 #include "stats/rng.h"
 #include "util/parallel.h"
 
@@ -133,16 +132,6 @@ void BM_CholeskyFactorize(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskyFactorize)->Arg(50)->Arg(100)->Arg(200)
     ->Unit(benchmark::kMillisecond);
-
-void BM_QuantileSketchAdd(benchmark::State& state) {
-  Rng rng(49);
-  QuantileSketch sketch(0.01);
-  for (auto _ : state) {
-    sketch.Add(rng.Normal());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_QuantileSketchAdd);
 
 void BM_SortBasedQuantiles(benchmark::State& state) {
   Rng rng(50);

@@ -1,7 +1,9 @@
 #include "data/csv.h"
 
-#include <fstream>
+#include <sstream>
+#include <utility>
 
+#include "util/file_io.h"
 #include "util/string_util.h"
 #include "util/validate.h"
 
@@ -9,8 +11,9 @@ namespace gef {
 
 StatusOr<Dataset> LoadCsv(const std::string& path,
                           bool last_column_is_target) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
+  StatusOr<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  std::istringstream in(std::move(text).value());
 
   std::string line;
   if (!std::getline(in, line)) {
@@ -63,8 +66,7 @@ StatusOr<Dataset> LoadCsv(const std::string& path,
 }
 
 Status SaveCsv(const Dataset& dataset, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot write " + path);
+  std::ostringstream out;
 
   std::vector<std::string> header = dataset.feature_names();
   if (dataset.has_targets()) header.push_back("target");
@@ -80,8 +82,7 @@ Status SaveCsv(const Dataset& dataset, const std::string& path) {
     }
     out << "\n";
   }
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::Ok();
+  return WriteFileAtomic(path, out.str());
 }
 
 }  // namespace gef

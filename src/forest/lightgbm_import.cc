@@ -1,9 +1,9 @@
 #include "forest/lightgbm_import.h"
 
-#include <fstream>
 #include <map>
 #include <sstream>
 
+#include "util/file_io.h"
 #include "util/string_util.h"
 #include "util/validate.h"
 
@@ -258,11 +258,9 @@ StatusOr<Forest> ParseLightGbmModel(const std::string& text) {
 }
 
 StatusOr<Forest> LoadLightGbmModel(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseLightGbmModel(buffer.str());
+  StatusOr<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseLightGbmModel(text.value());
 }
 
 }  // namespace gef

@@ -1,8 +1,8 @@
 #include "forest/serialization.h"
 
-#include <fstream>
 #include <sstream>
 
+#include "util/file_io.h"
 #include "util/hash.h"
 #include "util/string_util.h"
 #include "util/validate.h"
@@ -174,19 +174,13 @@ StatusOr<Forest> ForestFromString(const std::string& text) {
 }
 
 Status SaveForest(const Forest& forest, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot write " + path);
-  out << ForestToString(forest);
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::Ok();
+  return WriteFileAtomic(path, ForestToString(forest));
 }
 
 StatusOr<Forest> LoadForest(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ForestFromString(buffer.str());
+  StatusOr<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ForestFromString(text.value());
 }
 
 // Defined here rather than forest.cc: the hash is an identity over this

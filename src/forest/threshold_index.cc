@@ -23,18 +23,6 @@ ThresholdIndex::ThresholdIndex(const Forest& forest)
   }
 }
 
-std::vector<QuantileSketch> CollectThresholdSketches(const Forest& forest,
-                                                     double epsilon) {
-  std::vector<QuantileSketch> sketches(forest.num_features(),
-                                       QuantileSketch(epsilon));
-  for (const Tree& tree : forest.trees()) {
-    for (const TreeNode& node : tree.nodes()) {
-      if (!node.is_leaf()) sketches[node.feature].Add(node.threshold);
-    }
-  }
-  return sketches;
-}
-
 void ForEachInternalNode(
     const Forest& forest,
     const std::function<void(const Tree&, const TreeNode&)>& visit) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "forest/forest.h"
-#include "stats/quantile_sketch.h"
 
 namespace gef {
 
@@ -50,14 +49,6 @@ class ThresholdIndex {
 void ForEachInternalNode(
     const Forest& forest,
     const std::function<void(const Tree&, const TreeNode&)>& visit);
-
-/// Streaming alternative to ThresholdIndex for forests whose threshold
-/// multisets are too large to materialize: one pass over the ensemble
-/// filling a Greenwald–Khanna sketch per feature. Feeds
-/// BuildKQuantileDomainFromSketch. Features without splits yield sketches
-/// with count() == 0.
-std::vector<QuantileSketch> CollectThresholdSketches(
-    const Forest& forest, double epsilon = 0.01);
 
 }  // namespace gef
 

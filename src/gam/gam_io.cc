@@ -1,6 +1,5 @@
 #include "gam/gam_io.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "util/hash.h"
@@ -357,22 +356,6 @@ StatusOr<Gam> GamFromString(const std::string& text) {
     return Status::ParseError("invalid GAM model: " + s.message());
   }
   return gam;
-}
-
-Status SaveGam(const Gam& gam, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot write " + path);
-  out << GamToString(gam);
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::Ok();
-}
-
-StatusOr<Gam> LoadGam(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return GamFromString(buffer.str());
 }
 
 // Defined here rather than gam.cc: the hash is an identity over this

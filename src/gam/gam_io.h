@@ -24,12 +24,9 @@ std::string GamToString(const Gam& gam);
 /// credible intervals round-trip bit-exactly up to decimal printing.
 StatusOr<Gam> GamFromString(const std::string& text);
 
-Status SaveGam(const Gam& gam, const std::string& path);
-StatusOr<Gam> LoadGam(const std::string& path);
-
 // Gam::ContentHash() — FNV-1a 64 (util/hash.h) over GamToString bytes —
 // is defined in gam_io.cc so the identity stays welded to the canonical
-// format; save/load round-trips preserve it.
+// format; text round-trips preserve it.
 
 }  // namespace gef
 

@@ -1,6 +1,7 @@
 #include "gef/explainer.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "data/split.h"
 #include "forest/threshold_index.h"
@@ -9,6 +10,7 @@
 #include "stats/metrics.h"
 #include "surrogate/registry.h"
 #include "util/check.h"
+#include "util/string_util.h"
 
 namespace gef {
 namespace {
@@ -19,20 +21,29 @@ double FidelityRmse(const Surrogate& surrogate, const Dataset& dstar) {
   return Rmse(surrogate.PredictBatch(dstar), dstar.targets());
 }
 
-void ValidateConfig(const GefConfig& config) {
-  GEF_CHECK_GT(config.num_univariate, 0);
-  GEF_CHECK_GE(config.num_bivariate, 0);
-  GEF_CHECK_GT(config.num_samples, 10u);
-  GEF_CHECK(config.test_fraction > 0.0 && config.test_fraction < 1.0);
-  GEF_CHECK_GE(config.spline_basis, 5);
-  GEF_CHECK_GE(config.tensor_basis, 4);
-  GEF_CHECK_MSG(SurrogateBackendExists(config.surrogate_backend),
-                "unknown surrogate backend (see SurrogateBackendNames)");
-  GEF_CHECK_GT(config.fanova_rounds, 0);
-  GEF_CHECK(config.fanova_shrinkage > 0.0 &&
-            config.fanova_shrinkage <= 1.0);
-  GEF_CHECK_GE(config.fanova_leaves, 2);
-  GEF_CHECK_GE(config.fanova_max_bins, 2);
+// The fatal form of ValidateGefConfig, for library callers.
+void CheckConfig(const GefConfig& config) {
+  const Status status = ValidateGefConfig(config);
+  GEF_CHECK_MSG(status.ok(), "invalid GefConfig: " << status.message());
+}
+
+// An upper bound on the spline GAM's coefficient count
+// (surrogate/spline_gam.cc builds the terms). A univariate term is a
+// spline of at most spline_basis functions or a factor with one level
+// per domain point: at most k points under a K-based strategy, at most
+// categorical_threshold for a categorical feature, at most
+// spline_basis / 2 otherwise. A tensor term has at most tensor_basis²
+// coefficients. Doubles, so no product overflows.
+double MaxSplineCoefficients(const GefConfig& config) {
+  double per_univariate =
+      std::max(config.spline_basis, config.categorical_threshold);
+  if (config.sampling != SamplingStrategy::kAllThresholds) {
+    per_univariate = std::max(per_univariate, static_cast<double>(config.k));
+  }
+  const double tensor = static_cast<double>(config.tensor_basis) *
+                        static_cast<double>(config.tensor_basis);
+  return 1.0 + config.num_univariate * per_univariate +
+         config.num_bivariate * tensor;
 }
 
 // The backend-facing slice of GefConfig. Every field copied here must
@@ -54,9 +65,91 @@ SurrogateConfig MakeSurrogateConfig(const GefConfig& config) {
 
 }  // namespace
 
+Status ValidateGefConfig(const GefConfig& config) {
+  const auto below = [](const char* field, long long value,
+                        long long minimum) {
+    return Status::InvalidArgument(
+        std::string(field) + " must be >= " + std::to_string(minimum) +
+        " (got " + std::to_string(value) + ")");
+  };
+  if (config.num_univariate < 1) {
+    return below("num_univariate", config.num_univariate, 1);
+  }
+  if (config.num_bivariate < 0) {
+    return below("num_bivariate", config.num_bivariate, 0);
+  }
+  if (config.sampling != SamplingStrategy::kAllThresholds && config.k < 1) {
+    return below("k", config.k, 1);
+  }
+  if (config.num_samples < 11) {
+    return below("num_samples", static_cast<long long>(config.num_samples),
+                 11);
+  }
+  if (!(config.test_fraction > 0.0 && config.test_fraction < 1.0)) {
+    return Status::InvalidArgument("test_fraction must be in (0, 1)");
+  }
+  if (config.interaction == InteractionStrategy::kHStat &&
+      config.hstat_sample_rows < 2) {
+    return below("hstat_sample_rows",
+                 static_cast<long long>(config.hstat_sample_rows), 2);
+  }
+  if (config.spline_basis < 5) {
+    return below("spline_basis", config.spline_basis, 5);
+  }
+  if (config.tensor_basis < 4) {
+    return below("tensor_basis", config.tensor_basis, 4);
+  }
+  if (config.lambda_grid.empty()) {
+    return Status::InvalidArgument("lambda_grid must not be empty");
+  }
+  for (double lambda : config.lambda_grid) {
+    if (!(lambda > 0.0) || !std::isfinite(lambda)) {
+      return Status::InvalidArgument(
+          "lambda_grid values must be finite and > 0");
+    }
+  }
+  if (!SurrogateBackendExists(config.surrogate_backend)) {
+    return Status::InvalidArgument(
+        "unknown surrogate backend \"" + config.surrogate_backend +
+        "\" (known: " + Join(SurrogateBackendNames(), ", ") + ")");
+  }
+  if (config.fanova_rounds < 1) {
+    return below("fanova_rounds", config.fanova_rounds, 1);
+  }
+  if (!(config.fanova_shrinkage > 0.0 && config.fanova_shrinkage <= 1.0)) {
+    return Status::InvalidArgument("fanova_shrinkage must be in (0, 1]");
+  }
+  if (config.fanova_leaves < 2) {
+    return below("fanova_leaves", config.fanova_leaves, 2);
+  }
+  if (config.fanova_max_bins < 2) {
+    return below("fanova_max_bins", config.fanova_max_bins, 2);
+  }
+  if (config.surrogate_backend == "spline_gam") {
+    // Gam::Fit needs a training row per coefficient. The split keeps
+    // all but floor(n * test_fraction) rows, and at least one row on
+    // each side (data/split.cc).
+    const size_t n = config.num_samples;
+    const size_t test = std::max<size_t>(
+        1, std::min(static_cast<size_t>(static_cast<double>(n) *
+                                        config.test_fraction),
+                    n - 1));
+    const double coefficients = MaxSplineCoefficients(config);
+    if (static_cast<double>(n - test) < coefficients) {
+      return Status::InvalidArgument(
+          "num_samples " + std::to_string(n) + " leaves " +
+          std::to_string(n - test) +
+          " training rows, fewer than the up to " +
+          FormatDouble(coefficients, 15) +
+          " spline coefficients this config can fit");
+    }
+  }
+  return Status::Ok();
+}
+
 GefSamplingArtifacts BuildSamplingArtifacts(const Forest& forest,
                                             const GefConfig& config) {
-  ValidateConfig(config);
+  CheckConfig(config);
   Rng rng(config.seed);
   ThresholdIndex index(forest);
   GefSamplingArtifacts artifacts;
@@ -71,7 +164,7 @@ GefSamplingArtifacts BuildSamplingArtifacts(const Forest& forest,
 std::unique_ptr<GefExplanation> FitExplanation(
     const Forest& forest, const GefSamplingArtifacts& artifacts,
     const GefConfig& config) {
-  ValidateConfig(config);
+  CheckConfig(config);
   GEF_CHECK_EQ(artifacts.domains.size(), forest.num_features());
   GEF_CHECK(artifacts.dstar.has_targets());
   // Offset keeps this stage's randomness independent of the sampling
@@ -143,7 +236,7 @@ std::unique_ptr<GefExplanation> FitExplanation(
 
   std::unique_ptr<Surrogate> surrogate =
       CreateSurrogate(config.surrogate_backend);
-  GEF_CHECK(surrogate != nullptr);  // ValidateConfig checked the name
+  GEF_CHECK(surrogate != nullptr);  // CheckConfig checked the name
   if (!surrogate->Fit(spec, MakeSurrogateConfig(config), split.train)) {
     return nullptr;
   }

@@ -18,6 +18,7 @@
 #include "gef/interaction.h"
 #include "gef/sampling.h"
 #include "surrogate/surrogate.h"
+#include "util/status.h"
 
 namespace gef {
 
@@ -101,8 +102,18 @@ struct GefExplanation {
   Dataset dstar_test;
 };
 
-/// Runs the full pipeline on a forest. Fatal on invalid configs; returns
-/// nullptr only when the GAM fit is irreparably singular for every λ.
+/// The one rule set for a GefConfig: Ok, or InvalidArgument naming the
+/// first field whose value the pipeline would reject with a fatal check
+/// (counts and basis sizes below their minimums, an empty or
+/// non-positive λ grid, an unknown backend, a D* too small for the
+/// spline design). Entry points that take a config from outside — the
+/// serving layer's overrides, the CLIs' flags — call it and report the
+/// error; the pipeline functions below keep a fatal check on it.
+Status ValidateGefConfig(const GefConfig& config);
+
+/// Runs the full pipeline on a forest. Fatal on invalid configs (see
+/// ValidateGefConfig); returns nullptr only when the GAM fit is
+/// irreparably singular for every λ.
 std::unique_ptr<GefExplanation> ExplainForest(const Forest& forest,
                                               const GefConfig& config);
 

@@ -1,10 +1,10 @@
 #include "gef/explanation_io.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "surrogate/registry.h"
 #include "surrogate/spline_gam.h"
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace gef {
@@ -254,20 +254,14 @@ StatusOr<std::unique_ptr<GefExplanation>> ExplanationFromString(
 
 Status SaveExplanation(const GefExplanation& explanation,
                        const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot write " + path);
-  out << ExplanationToString(explanation);
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::Ok();
+  return WriteFileAtomic(path, ExplanationToString(explanation));
 }
 
 StatusOr<std::unique_ptr<GefExplanation>> LoadExplanation(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ExplanationFromString(buffer.str());
+  StatusOr<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ExplanationFromString(text.value());
 }
 
 }  // namespace gef

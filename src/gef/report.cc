@@ -1,9 +1,9 @@
 #include "gef/report.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "gef/evaluation.h"
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace gef {
@@ -97,8 +97,7 @@ Status ExportCurvesCsv(const GefExplanation& explanation,
                        const Forest& forest, const std::string& path,
                        int points) {
   GEF_CHECK_GE(points, 2);
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot write " + path);
+  std::ostringstream out;
   out << "term,feature,x,x2,effect,lower,upper\n";
 
   const Surrogate& surrogate = *explanation.surrogate;
@@ -161,8 +160,7 @@ Status ExportCurvesCsv(const GefExplanation& explanation,
     row[b] = explanation.domains[b][explanation.domains[b].size() / 2];
   }
 
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::Ok();
+  return WriteFileAtomic(path, out.str());
 }
 
 }  // namespace gef

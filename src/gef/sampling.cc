@@ -161,22 +161,6 @@ std::vector<double> BuildSamplingDomain(const std::vector<double>& thresholds,
   return domain;
 }
 
-std::vector<double> BuildKQuantileDomainFromSketch(
-    const QuantileSketch& sketch, int k) {
-  GEF_CHECK_GT(k, 0);
-  GEF_CHECK_GT(sketch.count(), 0u);
-  std::vector<double> domain = sketch.InnerQuantiles(k);
-  Canonicalize(&domain);
-  if (domain.size() < 2) {
-    // Degenerate (e.g. one distinct threshold): bracket it like the
-    // All-Thresholds fallback does.
-    double v = domain.empty() ? sketch.Quantile(0.5) : domain[0];
-    double epsilon = std::max(1.0, std::fabs(v)) * 0.05;
-    domain = {v - epsilon, v + epsilon};
-  }
-  return domain;
-}
-
 std::vector<std::vector<double>> BuildAllDomains(
     const Forest& forest, const ThresholdIndex& index,
     SamplingStrategy strategy, int k, double epsilon_fraction, Rng* rng) {

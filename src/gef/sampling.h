@@ -12,7 +12,6 @@
 #include "data/dataset.h"
 #include "forest/forest.h"
 #include "forest/threshold_index.h"
-#include "stats/quantile_sketch.h"
 #include "stats/rng.h"
 
 namespace gef {
@@ -48,16 +47,6 @@ std::vector<SamplingStrategy> AllSamplingStrategies();
 std::vector<double> BuildSamplingDomain(const std::vector<double>& thresholds,
                                         SamplingStrategy strategy, int k,
                                         double epsilon_fraction, Rng* rng);
-
-/// Streaming variant of the K-Quantile domain: reads an ε-approximate
-/// quantile sketch of a feature's thresholds instead of the sorted list.
-/// For forests whose threshold multisets are too large to materialize
-/// (the paper reports ~20,000 per feature at its scale), one pass over
-/// the model file filling per-feature sketches replaces per-feature
-/// sort-and-scan. Matches BuildSamplingDomain(kKQuantile) within the
-/// sketch's rank error.
-std::vector<double> BuildKQuantileDomainFromSketch(
-    const QuantileSketch& sketch, int k);
 
 /// Per-feature sampling domains for every feature of the forest.
 /// Features the forest never splits on get the singleton domain {0} —

@@ -2,11 +2,12 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "obs/rss.h"
+#include "util/file_io.h"
 #include "util/json.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -176,14 +177,12 @@ Aggregates Flush() {
 
   out.peak_rss_bytes = PeakRssBytes();
 
-  std::ofstream file;
+  // The trace lines of this flush, appended to the trace file in one write.
+  std::ostringstream text;
   const bool write_file = !registry.path.empty();
-  if (write_file) {
-    file.open(registry.path, std::ios::app);
-  }
   const uint64_t flush_ns = NowNs();
-  if (write_file && file.is_open()) {
-    file << "{\"type\":\"flush\",\"seq\":" << registry.flush_seq
+  if (write_file) {
+    text << "{\"type\":\"flush\",\"seq\":" << registry.flush_seq
          << ",\"t_us\":" << JsonNumberText(ToMicros(flush_ns))
          << ",\"peak_rss_bytes\":" << out.peak_rss_bytes
          << ",\"current_rss_bytes\":" << CurrentRssBytes() << "}\n";
@@ -211,8 +210,8 @@ Aggregates Flush() {
           SpanStats& stats = out.spans[begin->name];
           ++stats.count;
           stats.total_ns += event.t_ns - begin->t_ns;
-          if (write_file && file.is_open()) {
-            file << EventHead("span", begin->name, buffer->tid,
+          if (write_file) {
+            text << EventHead("span", begin->name, buffer->tid,
                               begin->t_ns)
                  << ",\"dur_us\":"
                  << JsonNumberText(ToMicros(event.t_ns - begin->t_ns))
@@ -222,8 +221,8 @@ Aggregates Flush() {
         }
         case Kind::kCounter:
           out.counters[event.name] += event.a;
-          if (write_file && file.is_open()) {
-            file << EventHead("counter", event.name, buffer->tid,
+          if (write_file) {
+            text << EventHead("counter", event.name, buffer->tid,
                               event.t_ns)
                  << ",\"delta\":" << JsonNumberText(event.a) << "}\n";
           }
@@ -234,16 +233,16 @@ Aggregates Flush() {
             gauge_time[event.name] = event.t_ns;
             out.gauges[event.name] = event.a;
           }
-          if (write_file && file.is_open()) {
-            file << EventHead("gauge", event.name, buffer->tid, event.t_ns)
+          if (write_file) {
+            text << EventHead("gauge", event.name, buffer->tid, event.t_ns)
                  << ",\"value\":" << JsonNumberText(event.a) << "}\n";
           }
           break;
         }
         case Kind::kMetric:
           ++out.metric_points[event.name];
-          if (write_file && file.is_open()) {
-            file << EventHead("metric", event.name, buffer->tid,
+          if (write_file) {
+            text << EventHead("metric", event.name, buffer->tid,
                               event.t_ns)
                  << ",\"step\":" << JsonNumberText(event.a)
                  << ",\"value\":" << JsonNumberText(event.b) << "}\n";
@@ -259,8 +258,8 @@ Aggregates Flush() {
       SpanStats& stats = out.spans[begin->name];
       ++stats.count;
       stats.total_ns += flush_ns - begin->t_ns;
-      if (write_file && file.is_open()) {
-        file << EventHead("span", begin->name, buffer->tid, begin->t_ns)
+      if (write_file) {
+        text << EventHead("span", begin->name, buffer->tid, begin->t_ns)
              << ",\"dur_us\":"
              << JsonNumberText(ToMicros(flush_ns - begin->t_ns))
              << ",\"depth\":" << open_spans.size()
@@ -268,6 +267,11 @@ Aggregates Flush() {
       }
     }
     buffer->events.clear();
+  }
+  if (write_file) {
+    // Best effort: an unwritable trace path loses the trace, never the
+    // run.
+    (void)AppendFile(registry.path, text.str());
   }
   return out;
 }

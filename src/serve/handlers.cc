@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -10,9 +11,9 @@
 #include "gef/local_explanation.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "surrogate/registry.h"
 #include "util/hash.h"
 #include "util/json.h"
+#include "util/string_util.h"
 
 namespace gef {
 namespace serve {
@@ -201,9 +202,28 @@ std::string RenderLocalExplanation(const LocalExplanation& local) {
   return out;
 }
 
-/// Applies the optional "config" overrides onto the server defaults.
-/// Sets `overridden` when any field differs from the defaults, which
-/// decides whether a preloaded explanation is still valid.
+// Fixed caps on what one /v1/explain request may ask the fit to do.
+// ValidateGefConfig sets the floors; these bound the cost (D* size,
+// design width, Gram size) whatever the server's own defaults are.
+constexpr double kMaxNumSamples = 200000;
+constexpr int kMaxK = 640;
+constexpr int kMaxSplineBasis = 64;
+constexpr int kMaxTensorBasis = 16;
+constexpr int kMaxNumUnivariate = 64;
+constexpr int kMaxNumBivariate = 8;
+
+// An integral JSON number in [0, max]: anything else (1.5, -1, 1e300)
+// would be an undefined or silently truncating cast.
+bool IsIntegerUpTo(const Json& member, double max) {
+  return member.is_number() && member.number >= 0 &&
+         member.number <= max && std::floor(member.number) == member.number;
+}
+
+/// Applies the optional "config" overrides onto the server defaults and
+/// validates the result (ValidateGefConfig), so a bad override is a 400
+/// here and never a fatal check inside the cached fit. Sets
+/// `overridden` when any field differs from the defaults, which decides
+/// whether a preloaded explanation is still valid.
 Status ApplyConfigOverrides(const Json& body, GefConfig* config,
                             bool* overridden) {
   *overridden = false;
@@ -215,48 +235,45 @@ Status ApplyConfigOverrides(const Json& body, GefConfig* config,
   struct IntField {
     const char* key;
     int* target;
-  };
-  struct SizeField {
-    const char* key;
-    size_t* target;
+    int max;
   };
   const IntField int_fields[] = {
-      {"num_univariate", &config->num_univariate},
-      {"num_bivariate", &config->num_bivariate},
-      {"k", &config->k},
-      {"spline_basis", &config->spline_basis},
-      {"tensor_basis", &config->tensor_basis},
+      {"num_univariate", &config->num_univariate, kMaxNumUnivariate},
+      {"num_bivariate", &config->num_bivariate, kMaxNumBivariate},
+      {"k", &config->k, kMaxK},
+      {"spline_basis", &config->spline_basis, kMaxSplineBasis},
+      {"tensor_basis", &config->tensor_basis, kMaxTensorBasis},
   };
-  const SizeField size_fields[] = {
-      {"num_samples", &config->num_samples},
+  const auto not_integer = [](const std::string& key, double max) {
+    return Status::InvalidArgument("config." + key +
+                                   " must be an integer from 0 to " +
+                                   FormatDouble(max, 20));
   };
   for (const auto& [key, member] : overrides->object) {
     bool known = false;
     for (const IntField& field : int_fields) {
       if (key != field.key) continue;
       known = true;
-      if (!member.is_number() || member.number < 0) {
-        return Status::InvalidArgument("config." + key +
-                                       " must be a non-negative number");
+      if (!IsIntegerUpTo(member, field.max)) {
+        return not_integer(key, field.max);
       }
       *field.target = static_cast<int>(member.number);
       *overridden = true;
     }
-    for (const SizeField& field : size_fields) {
-      if (key != field.key) continue;
+    if (key == "num_samples") {
       known = true;
-      if (!member.is_number() || member.number < 0) {
-        return Status::InvalidArgument("config." + key +
-                                       " must be a non-negative number");
+      if (!IsIntegerUpTo(member, kMaxNumSamples)) {
+        return not_integer(key, kMaxNumSamples);
       }
-      *field.target = static_cast<size_t>(member.number);
+      config->num_samples = static_cast<size_t>(member.number);
       *overridden = true;
     }
     if (key == "seed") {
       known = true;
-      if (!member.is_number() || member.number < 0) {
-        return Status::InvalidArgument(
-            "config.seed must be a non-negative number");
+      // The largest double below 2^64; every integer up to it casts.
+      constexpr double kMaxSeed = 18446744073709549568.0;
+      if (!IsIntegerUpTo(member, kMaxSeed)) {
+        return not_integer(key, kMaxSeed);
       }
       config->seed = static_cast<uint64_t>(member.number);
       *overridden = true;
@@ -267,18 +284,6 @@ Status ApplyConfigOverrides(const Json& body, GefConfig* config,
         return Status::InvalidArgument(
             "config.surrogate_backend must be a string");
       }
-      // Validate eagerly: an unknown backend must be a 400 here, never
-      // a fatal check inside the cached fit.
-      if (!SurrogateBackendExists(member.str)) {
-        std::string known_names;
-        for (const std::string& name : SurrogateBackendNames()) {
-          if (!known_names.empty()) known_names += ", ";
-          known_names += name;
-        }
-        return Status::InvalidArgument(
-            "unknown surrogate backend \"" + member.str +
-            "\" (known: " + known_names + ")");
-      }
       config->surrogate_backend = member.str;
       *overridden = true;
     }
@@ -286,6 +291,9 @@ Status ApplyConfigOverrides(const Json& body, GefConfig* config,
       return Status::InvalidArgument("unknown config field \"" + key +
                                      "\"");
     }
+  }
+  if (Status valid = ValidateGefConfig(*config); !valid.ok()) {
+    return Status::InvalidArgument("config: " + valid.message());
   }
   return Status::Ok();
 }
@@ -424,10 +432,10 @@ bool ScanPredictBody(const std::string& body, bool* have_model,
     ++p;
     const char* start = p;
     while (p < end && *p != '"') {
-      // Escapes go to the generic path; raw control bytes are not JSON.
-      if (*p == '\\' || static_cast<unsigned char>(*p) < 0x20) {
-        return false;
-      }
+      // Escapes and non-ASCII bytes (which ParseJson checks as UTF-8) go
+      // to the generic path; raw control bytes are not JSON.
+      const unsigned char byte = static_cast<unsigned char>(*p);
+      if (*p == '\\' || byte < 0x20 || byte >= 0x80) return false;
       ++p;
     }
     if (p >= end) return false;

@@ -49,7 +49,7 @@ HttpResponse HandleRequest(const ServeContext& context,
                            const HttpRequest& request);
 
 /// Zero-allocation scan of the canonical single-row predict body — an
-/// object with only "model" (escape-free string, optional) and "row"
+/// object with only "model" (escape-free ASCII string, optional) and "row"
 /// (array of plain numbers) members, either order. Returns false
 /// WITHOUT reporting an error on any other shape (escapes, "rows",
 /// unknown members, malformed JSON): callers fall back to the generic

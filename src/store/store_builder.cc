@@ -1,18 +1,13 @@
 #include "store/store_builder.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <type_traits>
 #include <utility>
 
 #include "forest/compiled.h"
 #include "store/checksum.h"
+#include "util/file_io.h"
 #include "util/hash.h"
-#include "util/shutdown.h"
 #include "util/string_util.h"
 
 namespace gef {
@@ -44,37 +39,6 @@ Status ValidateName(const std::string& name) {
   }
   if (name.find('\0') != std::string::npos) {
     return Status::InvalidArgument("store section name contains NUL");
-  }
-  return Status::Ok();
-}
-
-Status WriteAllAndSync(const std::string& path, const std::string& bytes) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot create " + path + ": " +
-                           std::strerror(errno));
-  }
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return Status::IoError("write failed for " + path + ": " + err);
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::IoError("fsync failed for " + path + ": " + err);
-  }
-  if (::close(fd) != 0) {
-    return Status::IoError("close failed for " + path + ": " +
-                           std::strerror(errno));
   }
   return Status::Ok();
 }
@@ -307,24 +271,7 @@ std::string StoreBuilder::Serialize() const {
 }
 
 Status StoreBuilder::WriteTo(const std::string& path) const {
-  const std::string bytes = Serialize();
-  const std::string tmp = path + ".tmp";
-  // Guard the temp file: SIGTERM mid-pack unlinks it; the live store at
-  // `path` is only ever replaced by the atomic rename of complete,
-  // fsync'd bytes.
-  ScopedFileGuard guard(tmp);
-  if (Status s = WriteAllAndSync(tmp, bytes); !s.ok()) {
-    ::unlink(tmp.c_str());
-    return s;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string err = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " to " + path + ": " +
-                           err);
-  }
-  guard.Commit();
-  return Status::Ok();
+  return WriteFileAtomic(path, Serialize());
 }
 
 }  // namespace store

@@ -5,11 +5,11 @@
 // staged in memory — AddForest serializes a Forest into its meta /
 // nodes / compiled triple, AddSurrogate and AddDatasetSummary attach
 // text artifacts keyed to a forest's content hash — then WriteTo packs
-// everything into one file crash-safely: the bytes go to a
-// ScopedFileGuard-protected temp path (SIGTERM mid-pack unlinks it, see
-// util/shutdown.h), are fsync'd, and only then rename(2)d over the
-// destination, so a crashed or interrupted pack never clobbers a live
-// store with a partial one.
+// everything into one file through WriteFileAtomic (util/file_io.h), the
+// write path every saved artifact shares: the bytes go to a guarded temp
+// path, are fsync'd, and only then rename(2)d over the destination, so a
+// crashed or interrupted pack never clobbers a live store with a partial
+// one.
 
 #include <cstdint>
 #include <string>
@@ -55,8 +55,7 @@ class StoreBuilder {
   /// stores programmatically without touching the filesystem.
   std::string Serialize() const;
 
-  /// Crash-safe pack: Serialize() to `path` + ".tmp" under a
-  /// ScopedFileGuard, fsync, then atomically rename over `path`.
+  /// Crash-safe pack: WriteFileAtomic(path, Serialize()).
   Status WriteTo(const std::string& path) const;
 
  private:

@@ -58,6 +58,12 @@ class Parser {
       if (static_cast<unsigned char>(c) < 0x20) {
         return Error("control character in string");
       }
+      if (static_cast<unsigned char>(c) >= 0x80) {
+        if (!ConsumeUtf8(static_cast<unsigned char>(c), out)) {
+          return Error("invalid UTF-8 in string");
+        }
+        continue;
+      }
       if (c != '\\') {
         out->push_back(c);
         continue;
@@ -101,6 +107,41 @@ class Parser {
     if (pos_ >= text_.size()) return Error("unterminated string");
     ++pos_;  // closing quote
     return Status::Ok();
+  }
+
+  // The rest of one raw multi-byte UTF-8 sequence whose lead byte was
+  // just consumed, per the well-formed table of RFC 3629 §4. Rejects
+  // stray continuation bytes, the overlong leads C0/C1 and E0/F0 forms,
+  // encoded surrogates (ED A0..BF), code points above U+10FFFF (F4 90+,
+  // F5..FF) and sequences cut short.
+  bool ConsumeUtf8(unsigned char lead, std::string* out) {
+    size_t tail = 0;
+    unsigned char lo = 0x80;  // bounds of the byte after the lead
+    unsigned char hi = 0xBF;
+    if (lead >= 0xC2 && lead <= 0xDF) {
+      tail = 1;
+    } else if (lead >= 0xE0 && lead <= 0xEF) {
+      tail = 2;
+      if (lead == 0xE0) lo = 0xA0;
+      if (lead == 0xED) hi = 0x9F;
+    } else if (lead >= 0xF0 && lead <= 0xF4) {
+      tail = 3;
+      if (lead == 0xF0) lo = 0x90;
+      if (lead == 0xF4) hi = 0x8F;
+    } else {
+      return false;
+    }
+    if (tail > text_.size() - pos_) return false;
+    for (size_t i = 0; i < tail; ++i) {
+      const unsigned char byte = static_cast<unsigned char>(text_[pos_ + i]);
+      if (byte < lo || byte > hi) return false;
+      lo = 0x80;
+      hi = 0xBF;
+    }
+    out->push_back(static_cast<char>(lead));
+    out->append(text_, pos_, tail);
+    pos_ += tail;
+    return true;
   }
 
   // Four hex digits of a \u escape.

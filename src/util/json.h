@@ -8,9 +8,12 @@
 // Dependency-free by repo policy; request bodies are external input, so
 // every malformed byte surfaces as a ParseError Status (mapped to HTTP
 // 400 by the handlers), never a crash. The parser follows RFC 8259:
-// whitespace is space, tab, LF and CR only, and a \u escape of a UTF-16
-// surrogate pair decodes to one 4-byte UTF-8 sequence (a lone surrogate,
-// which has no UTF-8 form, is rejected).
+// whitespace is space, tab, LF and CR only, raw string bytes must be
+// well-formed UTF-8 (RFC 3629: no stray continuation bytes, truncated or
+// overlong sequences, encoded surrogates or code points above U+10FFFF),
+// and a \u escape of a UTF-16 surrogate pair decodes to one 4-byte UTF-8
+// sequence (a lone surrogate, which has no UTF-8 form, is rejected). So
+// every string the parser returns is UTF-8.
 
 #include <cstddef>
 #include <map>

@@ -1,20 +1,22 @@
 #ifndef GEF_UTIL_SHUTDOWN_H_
 #define GEF_UTIL_SHUTDOWN_H_
 
-// Graceful-shutdown plumbing shared by the HTTP server, the batch CLIs
-// and the binary model store writer. Lives in util/ (the bottom layer)
-// so any artifact writer — store/store_builder.cc included — can guard
-// in-flight files without an upward dependency on serve/.
+// Graceful-shutdown plumbing shared by the HTTP server and every
+// artifact save. Lives in util/ (the bottom layer) beside the one file
+// writer, util/file_io, so every layer's saves are guarded without an
+// upward dependency on serve/.
 //
 // Two problems, one SIGINT/SIGTERM handler:
 //
-//  * Batch tools (gef_train, gef_explain) die mid-write when
-//    interrupted, leaving a partially written model file that later
-//    parses as corrupt. ScopedFileGuard registers the in-flight path in
-//    a fixed, async-signal-safe table; the handler unlink()s every
-//    registered path before the process exits, so an interrupted save
-//    leaves *nothing* rather than garbage. Commit() removes the guard
-//    once the write is complete and durable.
+//  * A tool interrupted mid-save must not leave a partially written
+//    artifact that later parses as corrupt. WriteFileAtomic
+//    (util/file_io.h) writes every artifact to `path.tmp` under a
+//    ScopedFileGuard, which registers that temp path in a fixed,
+//    async-signal-safe table; the handler unlink()s every registered
+//    path before the process exits, so an interrupted save leaves the
+//    previous artifact (or nothing) rather than garbage. Commit()
+//    removes the guard once the bytes are durable and renamed into
+//    place. Tools that save call InstallShutdownHandler() first.
 //
 //  * The server must drain: stop accepting, finish in-flight requests,
 //    then exit 0. EnableDrainMode() switches the handler from

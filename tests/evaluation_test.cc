@@ -4,9 +4,7 @@
 
 #include "data/synthetic.h"
 #include "forest/gbdt_trainer.h"
-#include "forest/threshold_index.h"
 #include "gef/evaluation.h"
-#include "gef/sampling.h"
 
 namespace gef {
 namespace {
@@ -103,31 +101,6 @@ TEST_F(EvaluationFixture, MonotonicityDetection) {
     }
     if (feature == 1) {
       EXPECT_EQ(direction, 0) << "x2";
-    }
-  }
-}
-
-TEST(ThresholdSketchTest, SketchDomainsMatchExactOnTrainedForest) {
-  Rng rng(115);
-  Dataset data = MakeGPrimeDataset(3000, &rng);
-  GbdtConfig fc;
-  fc.num_trees = 60;
-  fc.num_leaves = 16;
-  Forest forest = TrainGbdt(data, nullptr, fc).forest;
-  auto sketches = CollectThresholdSketches(forest, 0.005);
-  ThresholdIndex index(forest);
-  ASSERT_EQ(sketches.size(), 5u);
-  for (int f = 0; f < 5; ++f) {
-    EXPECT_EQ(sketches[f].count(),
-              index.ThresholdsWithMultiplicity(f).size());
-    Rng domain_rng(116);
-    auto exact = BuildSamplingDomain(
-        index.ThresholdsWithMultiplicity(f),
-        SamplingStrategy::kKQuantile, 10, 0.05, &domain_rng);
-    auto streamed = BuildKQuantileDomainFromSketch(sketches[f], 10);
-    ASSERT_EQ(streamed.size(), exact.size());
-    for (size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_NEAR(streamed[i], exact[i], 0.03);
     }
   }
 }

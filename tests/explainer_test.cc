@@ -251,6 +251,59 @@ TEST(ExplainerTest, ArtifactShapesAreConsistent) {
   EXPECT_TRUE(artifacts.dstar.has_targets());
 }
 
+TEST(ExplainerTest, ValidateGefConfigNamesTheBadField) {
+  EXPECT_TRUE(ValidateGefConfig(FastConfig()).ok());
+  EXPECT_TRUE(ValidateGefConfig(GefConfig()).ok());
+  struct Case {
+    const char* field;
+    void (*mutate)(GefConfig*);
+  };
+  const Case kCases[] = {
+      {"num_univariate", [](GefConfig* c) { c->num_univariate = 0; }},
+      {"num_bivariate", [](GefConfig* c) { c->num_bivariate = -1; }},
+      {"k", [](GefConfig* c) { c->k = 0; }},
+      {"num_samples", [](GefConfig* c) { c->num_samples = 10; }},
+      {"test_fraction", [](GefConfig* c) { c->test_fraction = 1.0; }},
+      {"hstat_sample_rows",
+       [](GefConfig* c) {
+         c->interaction = InteractionStrategy::kHStat;
+         c->hstat_sample_rows = 1;
+       }},
+      {"spline_basis", [](GefConfig* c) { c->spline_basis = 4; }},
+      {"tensor_basis", [](GefConfig* c) { c->tensor_basis = 3; }},
+      {"lambda_grid", [](GefConfig* c) { c->lambda_grid.clear(); }},
+      {"lambda_grid", [](GefConfig* c) { c->lambda_grid = {1.0, 0.0}; }},
+      {"lambda_grid", [](GefConfig* c) { c->lambda_grid = {std::nan("")}; }},
+      {"spline_gam", [](GefConfig* c) { c->surrogate_backend = "rules"; }},
+      {"fanova_rounds", [](GefConfig* c) { c->fanova_rounds = 0; }},
+      {"fanova_shrinkage", [](GefConfig* c) { c->fanova_shrinkage = 1.5; }},
+      {"fanova_leaves", [](GefConfig* c) { c->fanova_leaves = 1; }},
+      {"fanova_max_bins", [](GefConfig* c) { c->fanova_max_bins = 1; }},
+      // Up to 1 + 5 * 32 coefficients (a factor per k = 32 domain
+      // points) against 80 training rows.
+      {"training rows", [](GefConfig* c) { c->num_samples = 100; }},
+  };
+  for (const Case& test_case : kCases) {
+    GefConfig config = FastConfig();
+    test_case.mutate(&config);
+    Status status = ValidateGefConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << test_case.field;
+    EXPECT_NE(status.message().find(test_case.field), std::string::npos)
+        << status.message();
+  }
+
+  // Only the rules a setting actually reaches apply.
+  GefConfig all_thresholds = FastConfig();
+  all_thresholds.sampling = SamplingStrategy::kAllThresholds;
+  all_thresholds.k = 0;  // ignored by All-Thresholds
+  EXPECT_TRUE(ValidateGefConfig(all_thresholds).ok());
+  GefConfig fanova = FastConfig();
+  fanova.surrogate_backend = "boosted_fanova";
+  fanova.num_samples = 100;  // no spline design to fill
+  EXPECT_TRUE(ValidateGefConfig(fanova).ok());
+}
+
 TEST(ExplainerDeathTest, InvalidConfigsAbort) {
   Forest forest = TrainGPrimeForest();
   {

@@ -5,8 +5,6 @@
 // pipeline-fitted surrogate.
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -82,17 +80,6 @@ TEST_F(GamIoFixture, RoundTripPreservesEffectIntervals) {
   }
 }
 
-TEST_F(GamIoFixture, FileRoundTrip) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "gef_gam_test.txt")
-          .string();
-  ASSERT_TRUE(SaveGam(gam_, path).ok());
-  auto restored = LoadGam(path);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_NEAR(restored->intercept(), gam_.intercept(), 1e-12);
-  std::remove(path.c_str());
-}
-
 TEST_F(GamIoFixture, TruncatedInputRejected) {
   std::string text = GamToString(gam_);
   auto result = GamFromString(text.substr(0, text.size() / 3));
@@ -111,12 +98,6 @@ TEST_F(GamIoFixture, TamperedTermRejected) {
 TEST(GamIoTest, BadMagicRejected) {
   EXPECT_FALSE(GamFromString("not a gam\n").ok());
   EXPECT_FALSE(GamFromString("").ok());
-}
-
-TEST(GamIoTest, MissingFileIsIoError) {
-  auto result = LoadGam("/nonexistent/gam.txt");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 TEST(GamIoDeathTest, SerializingUnfittedGamAborts) {

@@ -21,6 +21,15 @@ inline long Near(const Timer* timer_ptr, const Timer& timer) {
   return timer.time() + timer_ptr->clock() + timeout_ms;  // member calls
 }
 
+inline long Buffers() {
+  std::ostringstream out;      // in-memory streams are not files
+  std::istringstream in("7");
+  long value = 0;
+  in >> value;
+  out << value;
+  return value;
+}
+
 // TODO(fixture-owner): owned TODOs are fine ("TODOs" is prose, not a marker).
 
 }  // namespace fixture

@@ -6,8 +6,6 @@
 //    non-negativity, local support (≤ degree+1 active functions), and
 //    derivative consistency of random spline curves (Richardson check
 //    on central differences).
-//  * Greenwald–Khanna quantile sketch vs exact quantiles on adversarial
-//    streams: sorted, reverse-sorted, duplicate-heavy, and sawtooth.
 //  * Cholesky jitter fallback on near-singular PSD matrices: the
 //    factorization must succeed, report its jitter, and solve
 //    (A + jitter·I) x = b accurately.
@@ -21,7 +19,6 @@
 #include "gam/bspline.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
-#include "stats/quantile_sketch.h"
 #include "stats/rng.h"
 
 namespace gef {
@@ -154,108 +151,6 @@ TEST(BSplinePropertyTest, DerivativeConsistencyOfRandomCurves) {
     EXPECT_NEAR(summed, 0.0, 1e-6) << "x=" << x;
   }
 }
-
-// ---------------------------------------------------------------------
-// Quantile sketch vs exact quantiles on adversarial streams.
-
-enum class StreamKind { kSorted, kReversed, kDuplicateHeavy, kSawtooth };
-
-std::vector<double> MakeStream(StreamKind kind, size_t n, Rng* rng) {
-  std::vector<double> stream(n);
-  switch (kind) {
-    case StreamKind::kSorted:
-      for (size_t i = 0; i < n; ++i) {
-        stream[i] = static_cast<double>(i);
-      }
-      break;
-    case StreamKind::kReversed:
-      for (size_t i = 0; i < n; ++i) {
-        stream[i] = static_cast<double>(n - i);
-      }
-      break;
-    case StreamKind::kDuplicateHeavy:
-      // 8 distinct values with skewed frequencies: the worst case for
-      // rank bookkeeping around ties.
-      for (size_t i = 0; i < n; ++i) {
-        stream[i] = static_cast<double>(rng->UniformInt(8)) *
-                    static_cast<double>(rng->UniformInt(2));
-      }
-      break;
-    case StreamKind::kSawtooth:
-      for (size_t i = 0; i < n; ++i) {
-        stream[i] = static_cast<double>(i % 97);
-      }
-      break;
-  }
-  return stream;
-}
-
-double RankOf(const std::vector<double>& sorted, double value) {
-  return static_cast<double>(
-      std::upper_bound(sorted.begin(), sorted.end(), value) -
-      sorted.begin());
-}
-
-// Distance from `target` to the rank interval `value` covers in
-// `sorted`. A duplicated value spans [rank of first copy, rank of last
-// copy]; any target inside that interval is an exact answer, so only
-// the distance outside it counts against the ε bound.
-double RankGapToTarget(const std::vector<double>& sorted, double value,
-                       double target) {
-  double rank_hi = RankOf(sorted, value);
-  double rank_lo = static_cast<double>(
-      std::lower_bound(sorted.begin(), sorted.end(), value) -
-      sorted.begin());
-  if (target < rank_lo) return rank_lo - target;
-  if (target > rank_hi) return target - rank_hi;
-  return 0.0;
-}
-
-class AdversarialSketchTest
-    : public ::testing::TestWithParam<StreamKind> {};
-
-TEST_P(AdversarialSketchTest, RankErrorWithinBoundOnAdversarialStream) {
-  const double epsilon = 0.01;
-  const size_t n = 20000;
-  Rng rng(7100);
-  std::vector<double> data = MakeStream(GetParam(), n, &rng);
-  QuantileSketch sketch(epsilon);
-  for (double v : data) sketch.Add(v);
-  EXPECT_EQ(sketch.count(), n);
-  // Compression must hold even on sorted / duplicate-heavy input.
-  EXPECT_LT(sketch.size(), n / 4);
-
-  std::sort(data.begin(), data.end());
-  for (double q :
-       {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
-    double estimate = sketch.Quantile(q);
-    double target = q * static_cast<double>(n);
-    EXPECT_LE(RankGapToTarget(data, estimate, target),
-              2.0 * epsilon * static_cast<double>(n) + 2.0)
-        << "q = " << q << " estimate = " << estimate;
-  }
-
-  // InnerQuantiles (the K-Quantile sampling domain) lands within the
-  // same rank band of each target level.
-  const int k = 15;
-  std::vector<double> approx = sketch.InnerQuantiles(k);
-  ASSERT_EQ(approx.size(), static_cast<size_t>(k));
-  EXPECT_TRUE(std::is_sorted(approx.begin(), approx.end()));
-  for (int i = 0; i < k; ++i) {
-    double target = static_cast<double>(i + 1) /
-                    static_cast<double>(k + 1) *
-                    static_cast<double>(n);
-    EXPECT_LE(RankGapToTarget(data, approx[i], target),
-              2.0 * epsilon * static_cast<double>(n) + 2.0)
-        << "inner quantile " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Streams, AdversarialSketchTest,
-    ::testing::Values(StreamKind::kSorted, StreamKind::kReversed,
-                      StreamKind::kDuplicateHeavy,
-                      StreamKind::kSawtooth));
 
 // ---------------------------------------------------------------------
 // Cholesky jitter fallback on near-singular PSD matrices.

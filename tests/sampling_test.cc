@@ -170,37 +170,6 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParams{SamplingStrategy::kEquiSize, 5},
         SweepParams{SamplingStrategy::kEquiSize, 50}));
 
-TEST(SamplingDomainTest, SketchKQuantileMatchesExactOnLargeLists) {
-  // The streaming path must agree with the in-memory K-Quantile domain
-  // within the sketch's rank error.
-  Rng rng(615);
-  std::vector<double> thresholds;
-  QuantileSketch sketch(0.005);
-  for (int i = 0; i < 20000; ++i) {
-    double v = rng.Normal(0.5, 0.15);
-    thresholds.push_back(v);
-    sketch.Add(v);
-  }
-  std::sort(thresholds.begin(), thresholds.end());
-  Rng domain_rng(616);
-  auto exact = BuildSamplingDomain(
-      thresholds, SamplingStrategy::kKQuantile, 12, 0.05, &domain_rng);
-  auto streamed = BuildKQuantileDomainFromSketch(sketch, 12);
-  ASSERT_EQ(streamed.size(), exact.size());
-  for (size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_NEAR(streamed[i], exact[i], 0.02) << "point " << i;
-  }
-}
-
-TEST(SamplingDomainTest, SketchDomainDegenerateCaseBrackets) {
-  QuantileSketch sketch(0.01);
-  for (int i = 0; i < 100; ++i) sketch.Add(0.5);
-  auto domain = BuildKQuantileDomainFromSketch(sketch, 10);
-  ASSERT_EQ(domain.size(), 2u);
-  EXPECT_LT(domain[0], 0.5);
-  EXPECT_GT(domain[1], 0.5);
-}
-
 TEST(SamplingStrategyTest, NamesAreDistinct) {
   std::set<std::string> names;
   for (auto s : AllSamplingStrategies()) {

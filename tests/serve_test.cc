@@ -817,6 +817,28 @@ TEST_F(HandlersTest, PredictRejectsBadInput) {
   EXPECT_EQ(Call("POST", "/v1/predict", "{\"row\": [\"a\"]}").status, 400);
 }
 
+TEST_F(HandlersTest, NonUtf8StringIs400WithJsonBody) {
+  // A raw 0xff is not UTF-8: the scanner declines it, ParseJson rejects
+  // it, and the error body is itself JSON (so UTF-8).
+  for (const std::string& body :
+       {std::string("{\"model\":\"\xff\",\"row\":[1]}"),
+        "{\"model\":\"\xc0\xaf\",\"row\":" + RowLiteral() + "}",
+        "{\"row\":" + RowLiteral() + ",\"model\":\"cen\xedsus\"}"}) {
+    auto response = Call("POST", "/v1/predict", body);
+    EXPECT_EQ(response.status, 400) << response.body;
+    auto parsed = ParseJson(response.body);
+    ASSERT_TRUE(parsed.ok()) << response.body;
+    EXPECT_NE(parsed->Find("error"), nullptr);
+  }
+  // Well-formed non-ASCII names take the generic path and are matched.
+  ASSERT_TRUE(registry_.AddModel("c\xc3\xa9nsus", TrainSmallForest()).ok());
+  auto named = Call("POST", "/v1/predict",
+                    "{\"model\":\"c\xc3\xa9nsus\",\"row\":" +
+                        RowLiteral() + "}");
+  EXPECT_EQ(named.status, 200) << named.body;
+  EXPECT_TRUE(ParseJson(named.body).ok()) << named.body;
+}
+
 TEST_F(HandlersTest, RoutingErrors) {
   EXPECT_EQ(Call("GET", "/v1/unknown").status, 404);
   EXPECT_EQ(Call("GET", "/v1/predict").status, 405);
@@ -862,6 +884,43 @@ TEST_F(HandlersTest, ExplainRejectsBadStepFractionAndConfig) {
                      ", \"config\": {\"unknown_knob\": 1}}")
                 .status,
             400);
+
+  // Values the fit would reject with a fatal check, non-integers, values
+  // outside the target type and values above the per-request caps: each
+  // is a 400 with a JSON error body, and none reaches a fit.
+  const char* const kBadOverrides[] = {
+      "\"num_univariate\": 0",       "\"num_bivariate\": -1",
+      "\"k\": 0",                    "\"spline_basis\": 4",
+      "\"tensor_basis\": 3",         "\"num_samples\": 10",
+      "\"num_samples\": 11",         "\"num_samples\": 0",
+      "\"k\": 1.5",                  "\"num_samples\": 1e300",
+      "\"spline_basis\": -0.5",      "\"k\": \"8\"",
+      "\"seed\": 1.5",               "\"seed\": -1",
+      "\"seed\": 1e300",             "\"surrogate_backend\": \"rules\"",
+      "\"surrogate_backend\": 1",    "\"num_samples\": 200001",
+      "\"k\": 641",                  "\"spline_basis\": 65",
+      "\"tensor_basis\": 17",        "\"num_univariate\": 65",
+      "\"num_bivariate\": 9",        "\"num_univariate\": 4294967297",
+  };
+  for (const char* override_member : kBadOverrides) {
+    auto response =
+        Call("POST", "/v1/explain",
+             "{\"row\": " + row + ", \"config\": {" + override_member +
+                 "}}");
+    EXPECT_EQ(response.status, 400) << override_member;
+    auto parsed = ParseJson(response.body);
+    ASSERT_TRUE(parsed.ok()) << response.body;
+    EXPECT_NE(parsed->Find("error"), nullptr) << response.body;
+  }
+  auto unknown = Call("POST", "/v1/explain",
+                      "{\"row\": " + row +
+                          ", \"config\": {\"surrogate_backend\": "
+                          "\"rules\"}}");
+  EXPECT_NE(unknown.body.find("spline_gam"), std::string::npos)
+      << "the unknown-backend error lists the known backends: "
+      << unknown.body;
+  EXPECT_EQ(obs::metrics::GetCounter("serve.gef_fits").Value(), 0u);
+  EXPECT_EQ(Call("GET", "/healthz").status, 200);
 }
 
 TEST_F(HandlersTest, PreloadedExplanationSkipsCache) {
@@ -1713,7 +1772,8 @@ TEST_F(HandlersTest, PredictFastScanAcceptsOnlyWhatParseJsonReadsAlike) {
                                   "-0",  "3E+2",     "7.0e1"};
   // Bytes that make or break JSON next to numbers, strings and commas.
   const std::string alphabet =
-      std::string("0123456789.-+eE ,[]{}:\"\\\t\n\v\f\x01") + "ax";
+      std::string("0123456789.-+eE ,[]{}:\"\\\t\n\v\f\x01") + "ax" +
+      "\x80\xc0\xff";
   Rng rng(2020);
   int accepted = 0;
   for (int trial = 0; trial < 100000; ++trial) {

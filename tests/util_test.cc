@@ -1,14 +1,18 @@
-// Tests for util: Status/StatusOr, string helpers, timer, JSON.
+// Tests for util: Status/StatusOr, string helpers, timer, JSON, file I/O.
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "stats/rng.h"
+#include "util/file_io.h"
 #include "util/json.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -306,16 +310,62 @@ TEST(JsonTest, NumberAndEscapeRendering) {
   EXPECT_GT(finite, 1 << 17);
   EXPECT_EQ(misses, 0);
 
-  // Every byte survives escaping and parsing back.
-  for (int byte = 0; byte < 256; ++byte) {
-    const std::string text{'<', static_cast<char>(byte), '>'};
+  // Every ASCII byte, and every UTF-8 sequence, survives escaping and
+  // parsing back. (A lone byte >= 0x80 is not UTF-8, so no JSON string
+  // carries it; RawStringBytesMustBeUtf8 covers those.)
+  const auto survives = [](const std::string& text) {
     std::string literal = "\"";
     literal += JsonEscapeString(text);
     literal += '"';
     auto parsed = ParseJson(literal);
-    ASSERT_TRUE(parsed.ok()) << "byte " << byte;
-    EXPECT_EQ(parsed->str, text) << "byte " << byte;
+    return parsed.ok() && parsed->str == text;
+  };
+  for (int byte = 0; byte < 0x80; ++byte) {
+    EXPECT_TRUE(survives({'<', static_cast<char>(byte), '>'}))
+        << "byte " << byte;
   }
+  for (const char* text : {"\xc2\x80", "\xc3\xa9", "\xe2\x82\xac",
+                           "\xef\xbf\xbd", "\xf0\x9f\x98\x80",
+                           "\xf4\x8f\xbf\xbf"}) {
+    EXPECT_TRUE(survives(text)) << text;
+  }
+}
+
+TEST(JsonTest, RawStringBytesMustBeUtf8) {
+  // Raw (unescaped) é, € and 😀 read back byte for byte.
+  for (const char* text : {"\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80",
+                           "a\xc3\xa9" "b\xe2\x82\xac\xf0\x9f\x98\x80"}) {
+    auto parsed = ParseJson(std::string("\"") + text + "\"");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->str, text);
+  }
+  const char* const kMalformed[] = {
+      "\x80",              // stray continuation byte
+      "a\xbf" "b",         // stray continuation byte mid-string
+      "\xff",              // never a UTF-8 byte
+      "\xfe\x80",
+      "\xc3",              // truncated 2-byte sequence
+      "\xe2\x82",          // truncated 3-byte sequence
+      "\xf0\x9f\x98",      // truncated 4-byte sequence
+      "\xc3(",             // lead byte, then no continuation
+      "\xc0\xaf",          // overlong '/'
+      "\xc1\xbf",          // overlong
+      "\xe0\x80\xaf",      // overlong 3-byte
+      "\xf0\x80\x80\xaf",  // overlong 4-byte
+      "\xed\xa0\x80",      // encoded surrogate U+D800
+      "\xed\xbf\xbf",      // encoded surrogate U+DFFF
+      "\xf4\x90\x80\x80",  // U+110000, above U+10FFFF
+      "\xf5\x80\x80\x80",  // lead byte above F4
+  };
+  for (const char* bytes : kMalformed) {
+    auto parsed = ParseJson(std::string("\"") + bytes + "\"");
+    EXPECT_FALSE(parsed.ok()) << "accepted malformed UTF-8";
+    // A malformed key is refused the same way.
+    EXPECT_FALSE(
+        ParseJson(std::string("{\"") + bytes + "\": 1}").ok());
+  }
+  // The truncated sequence may not swallow the closing quote.
+  EXPECT_FALSE(ParseJson("[\"\xe2\x82\"]").ok());
 }
 
 TEST(JsonTest, FuzzedInputsNeverCrash) {
@@ -332,6 +382,103 @@ TEST(JsonTest, FuzzedInputsNeverCrash) {
     auto parsed = ParseJson(doc);  // must return, never crash
     (void)parsed;
   }
+}
+
+// ---------------------------------------------------------------------
+// util/file_io
+// ---------------------------------------------------------------------
+
+class FileIoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("gef_file_io_test_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string Path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(FileIoTest, EveryByteRoundTripsExactly) {
+  std::string bytes;
+  for (int round = 0; round < 3; ++round) {
+    for (int byte = 0; byte < 256; ++byte) {
+      bytes.push_back(static_cast<char>(byte));
+    }
+  }
+  bytes += "\r\n\n";  // no newline translation either way
+  ASSERT_TRUE(WriteFileAtomic(Path("bytes.bin"), bytes).ok());
+  StatusOr<std::string> read = ReadFile(Path("bytes.bin"));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), bytes);
+
+  ASSERT_TRUE(WriteFileAtomic(Path("empty.txt"), "").ok());
+  StatusOr<std::string> empty = ReadFile(Path("empty.txt"));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+}
+
+TEST_F(FileIoTest, OverwriteReplacesAndLeavesNoTempFile) {
+  const std::string path = Path("model.txt");
+  ASSERT_TRUE(WriteFileAtomic(path, std::string(5000, 'a')).ok());
+  ASSERT_TRUE(WriteFileAtomic(path, "short").ok());
+  EXPECT_EQ(ReadFile(path).value(), "short");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir_),
+                          std::filesystem::directory_iterator()),
+            1);
+}
+
+TEST_F(FileIoTest, WriteIntoMissingDirectoryIsIoErrorAndCreatesNothing) {
+  const std::string path = Path("missing/out.txt");
+  Status status = WriteFileAtomic(path, "bytes");
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find(path), std::string::npos)
+      << status.message();
+  EXPECT_FALSE(std::filesystem::exists(Path("missing")));
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+TEST_F(FileIoTest, FailedRenameLeavesNoTempFileAndTargetIntact) {
+  // rename(2) cannot replace a non-empty directory with a file.
+  const std::string target = Path("occupied");
+  std::filesystem::create_directories(target);
+  ASSERT_TRUE(WriteFileAtomic(target + "/keep.txt", "kept").ok());
+
+  Status status = WriteFileAtomic(target, "bytes");
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("rename"), std::string::npos)
+      << status.message();
+  EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(target));
+  EXPECT_EQ(ReadFile(target + "/keep.txt").value(), "kept");
+}
+
+TEST_F(FileIoTest, ReadMissingPathIsIoErrorNamingIt) {
+  const std::string path = Path("nope/gam.txt");
+  StatusOr<std::string> read = ReadFile(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+  EXPECT_NE(read.status().message().find(path), std::string::npos)
+      << read.status().message();
+  // A directory opens but does not read.
+  EXPECT_EQ(ReadFile(dir_.string()).status().code(), StatusCode::kIoError);
+}
+
+TEST_F(FileIoTest, AppendsConcatenate) {
+  const std::string path = Path("trace.jsonl");
+  ASSERT_TRUE(AppendFile(path, "{\"a\":1}\n").ok());
+  ASSERT_TRUE(AppendFile(path, std::string("{\"b\":\"\0\"}\n", 10)).ok());
+  EXPECT_EQ(ReadFile(path).value(),
+            std::string("{\"a\":1}\n{\"b\":\"\0\"}\n", 18));
+  EXPECT_EQ(AppendFile(Path("missing/trace.jsonl"), "x").code(),
+            StatusCode::kIoError);
 }
 
 }  // namespace

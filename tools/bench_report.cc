@@ -46,7 +46,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -66,6 +65,7 @@
 #include "obs/obs.h"
 #include "obs/rss.h"
 #include "serve/model_registry.h"
+#include "util/file_io.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/parallel.h"
@@ -354,10 +354,10 @@ WorkloadResult RunWorkload(const std::string& name, const Dataset& train,
   return result;
 }
 
-void WriteReport(const std::string& path,
-                 const std::vector<WorkloadResult>& workloads, bool smoke,
-                 const std::vector<Json>& serving_workloads) {
-  std::ofstream out(path);
+Status WriteReport(const std::string& path,
+                   const std::vector<WorkloadResult>& workloads,
+                   bool smoke, const std::vector<Json>& serving_workloads) {
+  std::ostringstream out;
   out << "{\n";
   out << "  \"schema\": \"" << kSchema << "\",\n";
   out << "  \"pr\": \"" << kPrLabel << "\",\n";
@@ -410,6 +410,7 @@ void WriteReport(const std::string& path,
   }
   out << "  ]\n";
   out << "}\n";
+  return WriteFileAtomic(path, out.str());
 }
 
 // Schema check for --validate. Returns a list of problems (empty = ok).
@@ -561,14 +562,12 @@ std::vector<std::string> ValidateReport(const Json& root) {
 }
 
 bool LoadJsonFile(const std::string& path, Json* root) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  StatusOr<std::string> text = ReadFile(path);
+  if (!text.ok()) {
+    std::fprintf(stderr, "%s\n", text.status().message().c_str());
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  StatusOr<Json> parsed = ParseJson(buffer.str());
+  StatusOr<Json> parsed = ParseJson(text.value());
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s: invalid JSON: %s\n", path.c_str(),
                  parsed.status().message().c_str());
@@ -844,7 +843,11 @@ int Run(const Flags& flags) {
     return 1;
   }
 
-  WriteReport(out_path, results, smoke, serving_workloads);
+  if (Status s = WriteReport(out_path, results, smoke, serving_workloads);
+      !s.ok()) {
+    std::fprintf(stderr, "cannot write report: %s\n", s.message().c_str());
+    return 1;
+  }
   const size_t total = results.size() + serving_workloads.size();
   std::printf("wrote %s (%zu workload%s)\n", out_path.c_str(), total,
               total == 1 ? "" : "s");

@@ -1,8 +1,9 @@
 # Smoke test for bench_report: emit a scaled-down report with a JSONL
 # trace, then validate the report against the schema and sanity-check
-# the trace. Mirrors the CI bench-report job. Two negative/merge cases
-# follow: --validate must reject a report that is not strict JSON, and a
-# --serving merge must escape the strings it carries over.
+# the trace. Mirrors the CI bench-report job. Three negative/merge cases
+# follow: a report that cannot be written must fail the run, --validate
+# must reject a report that is not strict JSON, and a --serving merge
+# must escape the strings it carries over.
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
@@ -48,6 +49,18 @@ foreach(span
     message(FATAL_ERROR "trace is missing span '${span}': ${TRACE}")
   endif()
 endforeach()
+
+# A report that cannot be written is a failure, not a "wrote" line.
+execute_process(
+  COMMAND ${BENCH_REPORT_BIN} --smoke --out ${WORK_DIR}/missing/r.json
+  RESULT_VARIABLE unwritable_result
+  OUTPUT_VARIABLE unwritable_output
+  ERROR_VARIABLE unwritable_error)
+if(unwritable_result EQUAL 0)
+  message(FATAL_ERROR
+      "bench_report exited 0 writing into a missing directory:\n"
+      "${unwritable_output}\n${unwritable_error}")
+endif()
 
 # A value that is not a JSON number must fail --validate, not be read as
 # its numeric prefix ("1-2" is not 1).

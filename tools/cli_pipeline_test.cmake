@@ -61,4 +61,15 @@ if(code EQUAL 0)
   message(FATAL_ERROR "unknown flag was not rejected")
 endif()
 
+# An invalid pipeline config is a usage error (exit 1), not an abort.
+foreach(bad_flag "--univariate;0" "--samples;-1")
+  execute_process(COMMAND ${EXPLAIN_BIN} --model ${WORK_DIR}/forest.txt
+                  ${bad_flag} RESULT_VARIABLE code
+                  OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR
+      "gef_explain ${bad_flag} must exit 1, got ${code}:\n${err}")
+  endif()
+endforeach()
+
 message(STATUS "CLI pipeline test passed")

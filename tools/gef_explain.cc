@@ -29,6 +29,7 @@
 //
 // Exit codes: 0 success, 1 bad usage, 2 model/pipeline failure.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -42,7 +43,6 @@
 #include "gef/local_explanation.h"
 #include "gef/report.h"
 #include "store/store_builder.h"
-#include "surrogate/registry.h"
 #include "util/shutdown.h"
 #include "util/flags.h"
 #include "util/hash.h"
@@ -76,7 +76,9 @@ bool ParseInteraction(const std::string& name, InteractionStrategy* out) {
 }
 
 int Run(int argc, const char* const* argv) {
-  // SIGINT mid-save must not leave a half-written explanation behind.
+  // SIGINT mid-save must not leave a half-written explanation behind:
+  // every save goes through WriteFileAtomic, whose temp file the handler
+  // unlinks.
   InstallShutdownHandler();
 
   auto flags_or = Flags::Parse(argc, argv);
@@ -111,8 +113,10 @@ int Run(int argc, const char* const* argv) {
   config.num_univariate = flags.GetInt("univariate", 5);
   config.num_bivariate = flags.GetInt("bivariate", 0);
   config.k = flags.GetInt("k", 64);
+  // A negative count reads as 0, which ValidateGefConfig rejects,
+  // instead of wrapping to a size_t no allocation can satisfy.
   config.num_samples =
-      static_cast<size_t>(flags.GetInt("samples", 10000));
+      static_cast<size_t>(std::max(0, flags.GetInt("samples", 10000)));
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   std::string sampling = flags.GetString("sampling", "equi-size");
@@ -128,10 +132,9 @@ int Run(int argc, const char* const* argv) {
   }
   config.surrogate_backend =
       flags.GetString("surrogate", config.surrogate_backend);
-  if (!SurrogateBackendExists(config.surrogate_backend)) {
-    std::fprintf(stderr, "unknown --surrogate '%s' (known: %s)\n",
-                 config.surrogate_backend.c_str(),
-                 Join(SurrogateBackendNames(), ", ").c_str());
+  if (Status valid = ValidateGefConfig(config); !valid.ok()) {
+    std::fprintf(stderr, "invalid pipeline flags: %s\n",
+                 valid.message().c_str());
     return 1;
   }
 
@@ -185,14 +188,12 @@ int Run(int argc, const char* const* argv) {
   }
 
   if (!save_path.empty()) {
-    ScopedFileGuard guard(save_path);
     Status status = SaveExplanation(*explanation, save_path);
     if (!status.ok()) {
       std::fprintf(stderr, "cannot save explanation: %s\n",
                    status.ToString().c_str());
       return 2;
     }
-    guard.Commit();
     std::printf("saved explanation to %s (%s hash %s)\n",
                 save_path.c_str(),
                 explanation->surrogate->backend_name().c_str(),

@@ -53,6 +53,15 @@
 //                       inside src/ — pipeline results must never
 //                       depend on when they ran; timing belongs to
 //                       util/timer (steady_clock) and the obs layer.
+//   gef-raw-file-io     one way to open a file. std::ifstream /
+//                       std::ofstream / std::fstream, `fopen(` or
+//                       `::open(` / `open(` inside src/ outside
+//                       util/file_io.cc —
+//                       every artifact is read and written through
+//                       util/file_io (ReadFile, WriteFileAtomic,
+//                       AppendFile), so every save is crash-safe. Only
+//                       obs/rss.cc (reads /proc) and store/mmap_file.cc
+//                       (maps a store) open files themselves.
 //
 // The scanner strips comments and string/character literals before
 // applying the code rules (so `"new"` in a string never fires) and keeps
@@ -281,6 +290,18 @@ bool HasRawSyncPrimitive(const std::string& line) {
   return HasIdentPrefix(line, "pthread_");
 }
 
+// File opens that bypass util/file_io: the iostream file types, C stdio
+// fopen and POSIX open (std::/:: qualified or not). `.open(` /
+// `->open(` are member calls, not the syscall.
+bool HasRawFileOpen(const std::string& line) {
+  for (const char* token : {"std::ifstream", "std::ofstream",
+                            "std::fstream"}) {
+    if (HasQualifiedToken(line, token)) return true;
+  }
+  return HasCall(line, "fopen", /*flag_member_calls=*/false) ||
+         HasCall(line, "open", /*flag_member_calls=*/false);
+}
+
 // `float <ident> = <literal>` / `float <ident>{<literal>}` where the
 // literal is a double (has '.' or exponent, no f/F suffix).
 bool HasFloatNarrowing(const std::string& line) {
@@ -474,6 +495,10 @@ void LineRulesPass(const ScannedFile& file, std::vector<Violation>* out) {
   const bool self = fname == "gef_lint.cc";
   const bool in_src =
       !file.rel.empty() && file.rel.begin()->string() == "src";
+  const std::string rel = file.rel.generic_string();
+  const bool file_io_home = rel == "src/util/file_io.cc" ||
+                            rel == "src/obs/rss.cc" ||
+                            rel == "src/store/mmap_file.cc";
 
   for (size_t l = 0; l < file.text.code.size(); ++l) {
     const std::string& code = file.text.code[l];
@@ -506,6 +531,12 @@ void LineRulesPass(const ScannedFile& file, std::vector<Violation>* out) {
                       "code; use the annotated gef::Mutex / MutexLock / "
                       "CondVar wrappers (util/mutex.h) so "
                       "-Wthread-safety sees the acquisition"});
+    }
+    if (in_src && !file_io_home && HasRawFileOpen(code)) {
+      out->push_back({file.path.string(), line_no, "gef-raw-file-io",
+                      "raw file open in library code; read and write "
+                      "through util/file_io (ReadFile, WriteFileAtomic, "
+                      "AppendFile)"});
     }
     if (in_src && code.find("std::cout") != std::string::npos) {
       out->push_back({file.path.string(), line_no, "gef-cout",

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "stats/rng.h"
+#include "util/file_io.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/string_util.h"
@@ -596,13 +597,11 @@ int Run(int argc, const char* const* argv) {
     json += "        \"latency_p999_ms\": " +
             JsonNumberText(p999_ms) + "\n";
     json += "      }\n    }\n  ]\n}\n";
-    FILE* file = std::fopen(out_path.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    if (Status s = WriteFileAtomic(out_path, json); !s.ok()) {
+      std::fprintf(stderr, "cannot write report: %s\n",
+                   s.message().c_str());
       return 2;
     }
-    std::fputs(json.c_str(), file);
-    std::fclose(file);
     std::printf("wrote %s\n", out_path.c_str());
   }
   return 0;

@@ -39,11 +39,13 @@
 //
 // Exit codes: 0 clean shutdown, 1 bad usage, 2 startup failure.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "gef/explainer.h"
 #include "gef/explanation_io.h"
 #include "serve/batcher.h"
 #include "serve/handlers.h"
@@ -108,14 +110,21 @@ int Run(int argc, const char* const* argv) {
   GefConfig config;
   config.num_univariate = flags.GetInt("univariate", 5);
   config.num_bivariate = flags.GetInt("bivariate", 0);
+  // A negative count reads as 0, which ValidateGefConfig rejects,
+  // instead of wrapping to a size_t no allocation can satisfy.
   config.num_samples =
-      static_cast<size_t>(flags.GetInt("samples", 20000));
+      static_cast<size_t>(std::max(0, flags.GetInt("samples", 20000)));
   config.k = flags.GetInt("k", 64);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   bool prefit = flags.GetBool("prefit", false);
 
   if (!flags.status().ok()) {
     std::fprintf(stderr, "%s\n", flags.status().message().c_str());
+    return 1;
+  }
+  if (Status valid = ValidateGefConfig(config); !valid.ok()) {
+    std::fprintf(stderr, "invalid pipeline flags: %s\n",
+                 valid.message().c_str());
     return 1;
   }
   std::vector<std::string> unread = flags.UnreadFlags();

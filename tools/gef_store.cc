@@ -19,8 +19,6 @@
 // sweep). Exit codes: 0 success, 1 bad usage, 2 failure.
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +26,7 @@
 #include "forest/serialization.h"
 #include "store/store_builder.h"
 #include "store/store_reader.h"
+#include "util/file_io.h"
 #include "util/flags.h"
 #include "util/hash.h"
 #include "util/shutdown.h"
@@ -47,17 +46,6 @@ bool ParseNamedPaths(const std::string& arg,
     out->emplace_back(item.substr(0, eq), item.substr(eq + 1));
   }
   return !out->empty();
-}
-
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    return Status::IoError("cannot read " + path);
-  }
-  return std::move(buffer).str();
 }
 
 int Pack(const Flags& flags) {

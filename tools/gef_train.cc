@@ -36,7 +36,6 @@
 #include "gef/explainer.h"
 #include "gef/explanation_io.h"
 #include "store/store_builder.h"
-#include "surrogate/registry.h"
 #include "util/shutdown.h"
 #include "stats/metrics.h"
 #include "util/flags.h"
@@ -47,8 +46,9 @@ namespace gef {
 namespace {
 
 int Run(int argc, const char* const* argv) {
-  // SIGINT mid-save must not leave a half-written model behind (the
-  // guard around SaveForest below unlinks it from the handler).
+  // SIGINT mid-save must not leave a half-written model behind: every
+  // save goes through WriteFileAtomic, whose temp file the handler
+  // unlinks.
   InstallShutdownHandler();
 
   auto flags_or = Flags::Parse(argc, argv);
@@ -89,17 +89,21 @@ int Run(int argc, const char* const* argv) {
   int early_stopping = flags.GetInt("early-stopping", 0);
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   std::string surrogate = flags.GetString("surrogate", "");
-  if (!surrogate.empty() && !SurrogateBackendExists(surrogate)) {
-    std::fprintf(stderr, "unknown --surrogate '%s' (known: %s)\n",
-                 surrogate.c_str(),
-                 Join(SurrogateBackendNames(), ", ").c_str());
-    return 1;
-  }
-  if (!surrogate.empty() && store_out.empty()) {
-    std::fprintf(stderr,
-                 "--surrogate packs the fitted explanation into a store; "
-                 "pass --store-out too\n");
-    return 1;
+  GefConfig gef_config;
+  gef_config.surrogate_backend = surrogate;
+  gef_config.seed = seed;
+  if (!surrogate.empty()) {
+    if (Status valid = ValidateGefConfig(gef_config); !valid.ok()) {
+      std::fprintf(stderr, "invalid --surrogate: %s\n",
+                   valid.message().c_str());
+      return 1;
+    }
+    if (store_out.empty()) {
+      std::fprintf(stderr,
+                   "--surrogate packs the fitted explanation into a "
+                   "store; pass --store-out too\n");
+      return 1;
+    }
   }
 
   if (!flags.status().ok()) {
@@ -171,14 +175,12 @@ int Run(int argc, const char* const* argv) {
                 Rmse(forest.PredictRawBatch(*data), data->targets()));
   }
 
-  ScopedFileGuard guard(out_path);
   Status status = SaveForest(forest, out_path);
   if (!status.ok()) {
     std::fprintf(stderr, "cannot save model: %s\n",
                  status.ToString().c_str());
     return 2;
   }
-  guard.Commit();
   std::printf("wrote %zu-tree forest to %s (hash %s)\n",
               forest.num_trees(), out_path.c_str(),
               HashToHex(forest.ContentHash()).c_str());
@@ -187,9 +189,6 @@ int Run(int argc, const char* const* argv) {
     store::StoreBuilder builder;
     Status packed = builder.AddForest(store_name, forest);
     if (packed.ok() && !surrogate.empty()) {
-      GefConfig gef_config;
-      gef_config.surrogate_backend = surrogate;
-      gef_config.seed = seed;
       std::unique_ptr<GefExplanation> explanation =
           ExplainForest(forest, gef_config);
       if (explanation == nullptr) {

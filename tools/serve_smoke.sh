@@ -60,6 +60,26 @@ METRICS_SNAPSHOT="$WORK_DIR/metrics.txt"
 "$LOADGEN_BIN" --port "$PORT" --check > /dev/null  # refresh counters
 kill -0 $SERVER_PID  # still alive
 
+# An invalid config override is a 400, never a crash: /healthz still
+# answers 200 afterwards. The row is the first CSV row minus its target.
+ROW=$(sed -n 2p "$WORK_DIR/census.csv")
+BAD_BODY="{\"row\":[${ROW%,*}],\"config\":{\"num_univariate\":0}}"
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+printf 'POST /v1/explain HTTP/1.1\r\nHost: smoke\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s' \
+  "${#BAD_BODY}" "$BAD_BODY" >&3
+cat <&3 > "$WORK_DIR/bad_config.txt" || true
+exec 3<&- 3>&-
+if ! grep -q " 400 " "$WORK_DIR/bad_config.txt"; then
+  echo "invalid config override was not answered 400:"
+  cat "$WORK_DIR/bad_config.txt"
+  exit 1
+fi
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+printf 'GET /healthz HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n' >&3
+cat <&3 > "$WORK_DIR/healthz_after_bad_config.txt"
+exec 3<&- 3>&-
+grep -q " 200 " "$WORK_DIR/healthz_after_bad_config.txt"
+
 # Scrape /metrics via a plain TCP request from bash (no curl in image).
 exec 3<>"/dev/tcp/127.0.0.1/$PORT"
 printf 'GET /metrics HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n' >&3
