@@ -6,7 +6,7 @@
 // GEF pipeline (Alg. 1: feature selection → domain sampling → D*
 // labeling → interaction selection → GAM fit) plus the forest
 // trainers and the SHAP/LIME/PDP baselines record through this layer, so
-// the bench harness (tools/bench_report) can attribute wall-time and
+// a trace (GEF_TRACE, perfbench --trace 1) can attribute wall-time and
 // memory to stages instead of reporting one end-to-end number.
 //
 // Cost model, in priority order:

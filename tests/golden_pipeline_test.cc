@@ -6,6 +6,10 @@
 // here as an explicit diff to re-bless rather than silent drift. The
 // surrogate's content hash is pinned the same way.
 //
+// BenchWorkloadFidelityHoldsBaseline is the fidelity drift gate: both
+// surrogate backends on two full-size workloads must keep their held-out
+// R² and RMSE within kFidelityDriftTol of the recorded values.
+//
 // The golden values are exact (EXPECT_EQ on integers): every stochastic
 // component draws from gef::Rng with fixed seeds and the parallel chunk
 // grid is thread-count independent, so the pipeline is bit-reproducible
@@ -13,11 +17,15 @@
 // exact value, to stay robust to benign floating-point reassociation.
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/census.h"
 #include "data/synthetic.h"
 #include "forest/gbdt_trainer.h"
 #include "gef/evaluation.h"
@@ -88,6 +96,105 @@ TEST(GoldenPipelineTest, SelectionsMatchBlessedValues) {
   // forest, so this pins every fitted double of the identity-link GAM
   // (β, covariance, λ, importances) through its canonical text.
   EXPECT_EQ(explanation->surrogate->ContentHash(), 0x42242d4846c416f2u);
+}
+
+/// Maximum |Δ| either fidelity statistic (R², RMSE) may move from its
+/// recorded value. Wide enough to absorb libm and summation-order
+/// differences across machines, far too tight for a real modelling
+/// regression to hide in: a larger move means the fitted models changed,
+/// which a performance change must not do.
+constexpr double kFidelityDriftTol = 0.02;
+
+/// Held-out fidelity of one backend on one workload: the values every
+/// single-run perf report of these workloads recorded before the reports
+/// were retired (git history keeps them).
+struct BenchFidelity {
+  const char* workload;
+  const char* backend;
+  double r2;
+  double rmse;
+};
+
+constexpr BenchFidelity kBenchFidelity[] = {
+    {"synthetic", "spline_gam", 0.977327, 0.139926},
+    {"synthetic", "boosted_fanova", 0.987506, 0.103871},
+    {"census", "spline_gam", 0.762428, 0.11919},
+    {"census", "boosted_fanova", 0.70414, 0.133011},
+};
+
+GefConfig BenchGefConfig(int num_bivariate) {
+  GefConfig config;
+  config.num_univariate = 5;
+  config.num_bivariate = num_bivariate;
+  config.num_samples = 20000;
+  config.k = 64;
+  config.spline_basis = 16;
+  return config;
+}
+
+// Fits every backend kBenchFidelity lists for `workload` on one set of
+// sampling artifacts, so the rows compare surrogate families rather than
+// D* draws, and checks each fit on its own held-out D*. Returns the fits
+// by backend name.
+std::map<std::string, std::unique_ptr<GefExplanation>> CheckBenchFidelity(
+    const std::string& workload, const Forest& forest,
+    const GefConfig& config) {
+  const GefSamplingArtifacts artifacts =
+      BuildSamplingArtifacts(forest, config);
+  std::map<std::string, std::unique_ptr<GefExplanation>> fits;
+  for (const BenchFidelity& expected : kBenchFidelity) {
+    if (workload != expected.workload) continue;
+    GefConfig backend_config = config;
+    backend_config.surrogate_backend = expected.backend;
+    auto fit = FitExplanation(forest, artifacts, backend_config);
+    if (fit == nullptr) {
+      ADD_FAILURE() << workload << " " << expected.backend << ": no fit";
+      continue;
+    }
+    FidelityReport fidelity = EvaluateFidelity(*fit, forest, fit->dstar_test);
+    EXPECT_NEAR(fidelity.r2, expected.r2, kFidelityDriftTol)
+        << workload << " " << expected.backend << " R2";
+    EXPECT_NEAR(fidelity.rmse, expected.rmse, kFidelityDriftTol)
+        << workload << " " << expected.backend << " RMSE";
+    fits[expected.backend] = std::move(fit);
+  }
+  return fits;
+}
+
+TEST(GoldenPipelineTest, BenchWorkloadFidelityHoldsBaseline) {
+  {
+    // g'' with two generating pairs, regression forest.
+    Rng rng(42);
+    Dataset train = MakeGDoublePrimeDataset(3000, {{0, 1}, {2, 3}}, &rng);
+    GbdtConfig forest_config;
+    forest_config.num_trees = 120;
+    forest_config.num_leaves = 16;
+    forest_config.learning_rate = 0.1;
+    forest_config.min_samples_leaf = 10;
+    Forest forest = TrainGbdt(train, nullptr, forest_config).forest;
+    CheckBenchFidelity("synthetic", forest, BenchGefConfig(2));
+  }
+  {
+    // Simulated Census, binary forest: the logit link.
+    Rng rng(43);
+    Dataset train = MakeCensusDatasetEncoded(4000, &rng);
+    GbdtConfig forest_config;
+    forest_config.objective = Objective::kBinaryClassification;
+    forest_config.num_trees = 100;
+    forest_config.num_leaves = 32;
+    forest_config.learning_rate = 0.1;
+    forest_config.min_samples_leaf = 20;
+    Forest forest = TrainGbdt(train, nullptr, forest_config).forest;
+    auto fits = CheckBenchFidelity("census", forest, BenchGefConfig(1));
+
+    // ---- Logit-link surrogate bits. This pins every fitted double of
+    // the PIRLS-fitted spline GAM (β, covariance, λ, importances)
+    // through its canonical text. Removing the Cholesky jitter from the
+    // fit path is expected to move it; re-pin it then.
+    ASSERT_EQ(fits.count("spline_gam"), 1u);
+    EXPECT_EQ(fits.at("spline_gam")->surrogate->ContentHash(),
+              0x2288956638d694fau);
+  }
 }
 
 TEST(GoldenPipelineTest, ReRunIsByteIdentical) {

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "explain/pdp.h"
+#include "explain/treeshap.h"
 #include "forest/gbdt_trainer.h"
 #include "gef/explainer.h"
 #include "obs/obs.h"
@@ -186,8 +188,9 @@ TEST_F(ObsTest, RssSamplerReportsPlausibleValues) {
   EXPECT_GE(peak, current);
 }
 
-// Runs the full GEF pipeline on a small fixed-seed problem and returns
-// the flushed aggregates.
+// Runs the full GEF pipeline on a small fixed-seed problem, then one
+// TreeSHAP and one 1-D PDP baseline call, and returns the flushed
+// aggregates.
 obs::Aggregates RunPipelineAndFlush() {
   obs::Flush();  // drop anything earlier tests buffered
   Rng rng(321);
@@ -204,6 +207,10 @@ obs::Aggregates RunPipelineAndFlush() {
   config.seed = 321;
   auto explanation = ExplainForest(forest, config);
   EXPECT_NE(explanation, nullptr);
+  std::vector<double> row;
+  data.GetRowInto(0, &row);
+  TreeShapExplainer(forest).Explain(row);
+  PartialDependence1d(forest, data, 0, FeatureGrid(data, 0, 15));
   return obs::Flush();
 }
 
@@ -237,7 +244,12 @@ TEST_F(ObsTest, AggregatesInvariantAcrossThreadCounts) {
   EXPECT_EQ(serial.spans.at("forest.grow_tree").count, 25u);
   EXPECT_EQ(serial.spans.at("gef.feature_selection").count, 1u);
   EXPECT_EQ(serial.spans.at("gef.sampling_domains").count, 1u);
+  EXPECT_EQ(serial.spans.at("gef.dstar_draw").count, 1u);
+  EXPECT_EQ(serial.spans.at("gef.dstar_label").count, 1u);
+  EXPECT_EQ(serial.spans.at("gef.interaction_selection").count, 1u);
   EXPECT_EQ(serial.spans.at("gam.fit").count, 1u);
+  EXPECT_EQ(serial.spans.at("explain.treeshap").count, 1u);
+  EXPECT_EQ(serial.spans.at("explain.pdp_1d").count, 1u);
   EXPECT_DOUBLE_EQ(serial.Counter("gef.dstar_rows_labeled"), 2500.0);
   EXPECT_DOUBLE_EQ(serial.Counter("grower.splits"), 25.0 * 7.0);
 }

@@ -22,14 +22,24 @@ if(NOT EXISTS ${WORK_DIR}/forest.txt)
 endif()
 
 run_step(${EXPLAIN_BIN} --model ${WORK_DIR}/forest.txt --summary)
-run_step(${EXPLAIN_BIN} --model ${WORK_DIR}/forest.txt
+# GEF_TRACE makes the CLI write its pipeline spans as JSONL at exit.
+file(REMOVE ${WORK_DIR}/trace.jsonl)
+run_step(${CMAKE_COMMAND} -E env GEF_TRACE=${WORK_DIR}/trace.jsonl
+         ${EXPLAIN_BIN} --model ${WORK_DIR}/forest.txt
          --univariate 4 --samples 2000 --k 24
          --curves ${WORK_DIR}/curves.csv
          --save ${WORK_DIR}/explanation.txt
          --probe ${WORK_DIR}/train.csv)
-foreach(artifact curves.csv explanation.txt)
+foreach(artifact curves.csv explanation.txt trace.jsonl)
   if(NOT EXISTS ${WORK_DIR}/${artifact})
     message(FATAL_ERROR "missing artifact: ${artifact}")
+  endif()
+endforeach()
+file(READ ${WORK_DIR}/trace.jsonl trace_text)
+foreach(span "gef.dstar_label" "gam.fit")
+  string(FIND "${trace_text}" "\"name\":\"${span}\"" span_pos)
+  if(span_pos EQUAL -1)
+    message(FATAL_ERROR "trace is missing span '${span}'")
   endif()
 endforeach()
 

@@ -1,7 +1,7 @@
 // gef_loadgen — closed- and open-loop load generator for gef_serve.
 //
 // Closed loop (default): opens N persistent keep-alive connections and
-// hammers one endpoint back-to-back for a fixed duration — measures the
+// sends /v1/predict back-to-back for a fixed duration — measures the
 // server's capacity, but a slow response slows the offered load too.
 //
 // Open loop (--open-loop --target-qps N): each connection runs an
@@ -19,16 +19,9 @@
 // runs are reproducible.
 //
 // Usage:
-//   gef_loadgen --port <port> [--host 127.0.0.1]
-//               [--endpoint predict|explain|mixed] [--connections 4]
+//   gef_loadgen --port <port> [--host 127.0.0.1] [--connections 4]
 //               [--duration-s 5] [--model <name>] [--seed 1]
 //               [--open-loop] [--target-qps 1000]
-//               [--pipeline 1]   (closed loop: requests per burst sent
-//                                 back-to-back on each connection)
-//               [--out report.json]   (gef-bench-v1 serving workload,
-//                                      mergeable via bench_report --serving)
-//               [--workload-name serving_predict]
-//               [--batching-label on|off]  (recorded in the report)
 //   gef_loadgen --port <port> --check
 //               (smoke mode: one request per endpoint, exit 0 iff all
 //                succeed — the serve-smoke ctest uses this instead of curl)
@@ -55,7 +48,6 @@
 #include <vector>
 
 #include "stats/rng.h"
-#include "util/file_io.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/string_util.h"
@@ -122,27 +114,6 @@ class ClientConnection {
     if (!ReadResponse(status_out, body_out)) {
       Close();
       return false;
-    }
-    return true;
-  }
-
-  /// Writes `count` back-to-back pipelined requests in one syscall,
-  /// then collects every response. Statuses are appended to
-  /// `statuses_out`. Returns false on transport/protocol failure.
-  bool Pipeline(const std::string& burst, size_t count,
-                std::vector<int>* statuses_out) {
-    if (!SendAll(burst)) {
-      Close();
-      return false;
-    }
-    std::string body;
-    for (size_t i = 0; i < count; ++i) {
-      int status = 0;
-      if (!ReadResponse(&status, &body)) {
-        Close();
-        return false;
-      }
-      statuses_out->push_back(status);
     }
     return true;
   }
@@ -327,19 +298,13 @@ int Run(int argc, const char* const* argv) {
 
   std::string host = flags.GetString("host", "127.0.0.1");
   int port = flags.GetInt("port", 0);
-  std::string endpoint = flags.GetString("endpoint", "predict");
   int connections = flags.GetInt("connections", 4);
   double duration_s = flags.GetDouble("duration-s", 5.0);
   std::string model = flags.GetString("model", "");
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  std::string out_path = flags.GetString("out", "");
-  std::string workload_name =
-      flags.GetString("workload-name", "serving_" + endpoint);
-  std::string batching_label = flags.GetString("batching-label", "on");
   bool check = flags.GetBool("check", false);
   bool open_loop = flags.GetBool("open-loop", false);
   double target_qps = flags.GetDouble("target-qps", 0.0);
-  int pipeline = flags.GetInt("pipeline", 1);
 
   if (!flags.status().ok()) {
     std::fprintf(stderr, "%s\n", flags.status().message().c_str());
@@ -355,22 +320,12 @@ int Run(int argc, const char* const* argv) {
     std::fprintf(stderr, "usage: gef_loadgen --port <port> [options]\n");
     return 1;
   }
-  if (endpoint != "predict" && endpoint != "explain" &&
-      endpoint != "mixed") {
-    std::fprintf(stderr, "unknown --endpoint '%s'\n", endpoint.c_str());
-    return 1;
-  }
   if (connections < 1) {
     std::fprintf(stderr, "--connections must be >= 1\n");
     return 1;
   }
   if (open_loop && target_qps <= 0.0) {
     std::fprintf(stderr, "--open-loop requires --target-qps > 0\n");
-    return 1;
-  }
-  if (pipeline < 1 || (open_loop && pipeline != 1)) {
-    std::fprintf(stderr,
-                 "--pipeline must be >= 1 (closed loop only)\n");
     return 1;
   }
 
@@ -388,17 +343,6 @@ int Run(int argc, const char* const* argv) {
   // them inside the timing loop would measure the client, not the
   // server (they share this machine's cores).
   constexpr size_t kBodyPool = 1024;
-  const auto build_request = [](const std::string& target,
-                                const std::string& body) {
-    return "POST " + target +
-           " HTTP/1.1\r\nHost: loadgen\r\nContent-Type: "
-           "application/json\r\nContent-Length: " +
-           std::to_string(body.size()) + "\r\n\r\n" + body;
-  };
-  const auto use_explain = [&endpoint](size_t i) {
-    return endpoint == "explain" ||
-           (endpoint == "mixed" && (i % 8) == 0);
-  };
   std::vector<std::string> requests_pool;
   requests_pool.reserve(kBodyPool);
   {
@@ -406,22 +350,11 @@ int Run(int argc, const char* const* argv) {
     std::vector<double> row(features);
     for (size_t i = 0; i < kBodyPool; ++i) {
       for (double& v : row) v = rng.Uniform();
-      requests_pool.push_back(build_request(
-          use_explain(i) ? "/v1/explain" : "/v1/predict",
-          PredictBody(model, row)));
-    }
-  }
-  // Pipelined bursts: `pipeline` back-to-back requests per syscall.
-  const size_t burst_len = static_cast<size_t>(pipeline);
-  std::vector<std::string> bursts;
-  if (burst_len > 1) {
-    bursts.reserve(kBodyPool);
-    for (size_t j = 0; j < kBodyPool; ++j) {
-      std::string burst;
-      for (size_t k = 0; k < burst_len; ++k) {
-        burst += requests_pool[(j + k) % kBodyPool];
-      }
-      bursts.push_back(std::move(burst));
+      const std::string body = PredictBody(model, row);
+      requests_pool.push_back(
+          "POST /v1/predict HTTP/1.1\r\nHost: loadgen\r\nContent-Type: "
+          "application/json\r\nContent-Length: " +
+          std::to_string(body.size()) + "\r\n\r\n" + body);
     }
   }
 
@@ -468,20 +401,12 @@ int Run(int argc, const char* const* argv) {
           intended = std::chrono::steady_clock::now();
           if (intended >= deadline) break;
         }
-        std::vector<int> statuses;
-        bool ok;
-        if (burst_len > 1) {
-          ok = connection.connected() &&
-               connection.Pipeline(bursts[i % kBodyPool], burst_len,
-                                   &statuses);
-        } else {
-          int status = 0;
-          std::string body;
-          ok = connection.connected() &&
-               connection.RoundTripRaw(requests_pool[i % kBodyPool],
-                                       &status, &body);
-          statuses.push_back(status);
-        }
+        int status = 0;
+        std::string body;
+        const bool ok =
+            connection.connected() &&
+            connection.RoundTripRaw(requests_pool[i % kBodyPool], &status,
+                                    &body);
         const std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - intended;
         ++i;
@@ -494,19 +419,15 @@ int Run(int argc, const char* const* argv) {
           }
           continue;
         }
-        for (const int status : statuses) {
-          ++result.requests;
-          if (status == 429) {
-            ++result.shed;
-          } else if (status != 200) {
-            ++result.errors;
-          } else {
-            // Quantiles describe served requests; shed requests are
-            // accounted in `shed`, not hidden inside the tail. A
-            // pipelined burst charges every response the full burst
-            // round trip — pessimistic, never flattering.
-            result.latencies_s.push_back(elapsed.count());
-          }
+        ++result.requests;
+        if (status == 429) {
+          ++result.shed;
+        } else if (status != 200) {
+          ++result.errors;
+        } else {
+          // Quantiles describe served requests; shed requests are
+          // accounted in `shed`, not hidden inside the tail.
+          result.latencies_s.push_back(elapsed.count());
         }
       }
     });
@@ -541,11 +462,10 @@ int Run(int argc, const char* const* argv) {
   const double p999_ms = Percentile(&latencies, 0.999) * 1e3;
 
   std::printf(
-      "mode=%s endpoint=%s connections=%d duration=%.1fs requests=%llu "
-      "errors=%llu shed=%llu\nqps=%.0f served_qps=%.0f p50=%.3fms "
-      "p90=%.3fms p99=%.3fms p999=%.3fms\n",
-      open_loop ? "open-loop" : "closed-loop", endpoint.c_str(),
-      connections, duration_s,
+      "mode=%s connections=%d duration=%.1fs requests=%llu errors=%llu "
+      "shed=%llu\nqps=%.0f served_qps=%.0f p50=%.3fms p90=%.3fms "
+      "p99=%.3fms p999=%.3fms\n",
+      open_loop ? "open-loop" : "closed-loop", connections, duration_s,
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(errors),
       static_cast<unsigned long long>(shed), qps, served_qps, p50_ms,
@@ -556,54 +476,6 @@ int Run(int argc, const char* const* argv) {
     return 2;
   }
 
-  if (!out_path.empty()) {
-    // One gef-bench-v1 workload carrying a "serving" section;
-    // bench_report --serving merges it into the PR report.
-    std::string json = "{\n  \"schema\": \"gef-bench-v1\",\n";
-    json += "  \"pr\": \"PR9\",\n  \"smoke\": false,\n";
-    json += "  \"num_threads\": " + std::to_string(connections) + ",\n";
-    json += "  \"workloads\": [\n    {\n";
-    json += "      \"name\": \"" +
-            JsonEscapeString(workload_name) + "\",\n";
-    json += "      \"serving\": {\n";
-    json += "        \"endpoint\": \"" +
-            JsonEscapeString(endpoint) + "\",\n";
-    json += "        \"mode\": \"";
-    json += open_loop ? "open-loop" : "closed-loop";
-    json += "\",\n";
-    json += "        \"pipeline\": " + std::to_string(pipeline) + ",\n";
-    if (open_loop) {
-      json += "        \"target_qps\": " +
-              JsonNumberText(target_qps) + ",\n";
-    }
-    json += "        \"batching\": \"" +
-            JsonEscapeString(batching_label) + "\",\n";
-    json += "        \"connections\": " + std::to_string(connections) +
-            ",\n";
-    json += "        \"duration_s\": " +
-            JsonNumberText(duration_s) + ",\n";
-    json += "        \"requests\": " + std::to_string(requests) + ",\n";
-    json += "        \"errors\": " + std::to_string(errors) + ",\n";
-    json += "        \"shed\": " + std::to_string(shed) + ",\n";
-    json += "        \"qps\": " + JsonNumberText(qps) + ",\n";
-    json += "        \"served_qps\": " +
-            JsonNumberText(served_qps) + ",\n";
-    json += "        \"latency_p50_ms\": " +
-            JsonNumberText(p50_ms) + ",\n";
-    json += "        \"latency_p90_ms\": " +
-            JsonNumberText(p90_ms) + ",\n";
-    json += "        \"latency_p99_ms\": " +
-            JsonNumberText(p99_ms) + ",\n";
-    json += "        \"latency_p999_ms\": " +
-            JsonNumberText(p999_ms) + "\n";
-    json += "      }\n    }\n  ]\n}\n";
-    if (Status s = WriteFileAtomic(out_path, json); !s.ok()) {
-      std::fprintf(stderr, "cannot write report: %s\n",
-                   s.message().c_str());
-      return 2;
-    }
-    std::printf("wrote %s\n", out_path.c_str());
-  }
   return 0;
 }
 

@@ -22,38 +22,44 @@ STORE_BIN=$5
 WORK_DIR=$6
 
 mkdir -p "$WORK_DIR"
-rm -f "$WORK_DIR/serve.log"
+
+# start_server LOG ARGS... — starts gef_serve ARGS on an ephemeral port
+# with its output in LOG, arms a kill trap, and sets SERVER_PID and PORT.
+# LOG is created before the server starts, so the port poll never reads
+# a file that does not exist yet.
+start_server() {
+  local log=$1
+  shift
+  : > "$log"
+  "$SERVE_BIN" --port 0 "$@" > "$log" 2>&1 &
+  SERVER_PID=$!
+  trap 'kill -9 $SERVER_PID 2>/dev/null || true' EXIT
+  PORT=""
+  for _ in $(seq 1 100); do
+    PORT=$(sed -n 's/^listening on [0-9.]*:\([0-9]*\)$/\1/p' "$log" \
+      | head -1)
+    [ -n "$PORT" ] && return 0
+    sleep 0.1
+  done
+  echo "server never reported its port ($log):"
+  cat "$log"
+  exit 1
+}
 
 "$DATASETS_BIN" --name census --out "$WORK_DIR/census.csv" \
   --rows 800 --seed 3 > /dev/null
 "$TRAIN_BIN" --data "$WORK_DIR/census.csv" --out "$WORK_DIR/model.txt" \
   --objective binary --trees 20 --leaves 8 > /dev/null
 
-"$SERVE_BIN" --model "$WORK_DIR/model.txt" --name census --port 0 \
-  --univariate 3 --samples 1500 --k 16 \
-  > "$WORK_DIR/serve.log" 2>&1 &
-SERVER_PID=$!
-trap 'kill -9 $SERVER_PID 2>/dev/null || true' EXIT
-
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^listening on [0-9.]*:\([0-9]*\)$/\1/p' \
-    "$WORK_DIR/serve.log" | head -1)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-if [ -z "$PORT" ]; then
-  echo "server never reported its port:"
-  cat "$WORK_DIR/serve.log"
-  exit 1
-fi
+start_server "$WORK_DIR/serve.log" --model "$WORK_DIR/model.txt" \
+  --name census --univariate 3 --samples 1500 --k 16
 
 # Two passes: the second repeats /v1/explain with the identical config,
 # which must be a cache hit (exactly one GEF fit overall).
 "$LOADGEN_BIN" --port "$PORT" --check
 "$LOADGEN_BIN" --port "$PORT" --check
-"$LOADGEN_BIN" --port "$PORT" --endpoint predict --connections 2 \
-  --duration-s 1 > "$WORK_DIR/loadgen.log"
+"$LOADGEN_BIN" --port "$PORT" --connections 2 --duration-s 1 \
+  > "$WORK_DIR/loadgen.log"
 cat "$WORK_DIR/loadgen.log"
 
 METRICS_SNAPSHOT="$WORK_DIR/metrics.txt"
@@ -117,33 +123,16 @@ echo "serve smoke passed (port $PORT, fits=$FITS, cache hits=$HITS)"
   --model census="$WORK_DIR/model.txt" > /dev/null
 "$STORE_BIN" verify "$WORK_DIR/model.gefs" > /dev/null
 
-rm -f "$WORK_DIR/serve_store.log"
-"$SERVE_BIN" --store "$WORK_DIR/model.gefs" --port 0 \
-  --univariate 3 --samples 1500 --k 16 \
-  > "$WORK_DIR/serve_store.log" 2>&1 &
-SERVER_PID=$!
-trap 'kill -9 $SERVER_PID 2>/dev/null || true' EXIT
-
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^listening on [0-9.]*:\([0-9]*\)$/\1/p' \
-    "$WORK_DIR/serve_store.log" | head -1)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-if [ -z "$PORT" ]; then
-  echo "store-backed server never reported its port:"
-  cat "$WORK_DIR/serve_store.log"
-  exit 1
-fi
+start_server "$WORK_DIR/serve_store.log" --store "$WORK_DIR/model.gefs" \
+  --univariate 3 --samples 1500 --k 16
 grep -q "mmap-loaded model 'census'" "$WORK_DIR/serve_store.log"
 
 # Same single-flight contract as the text-loaded server: the repeated
 # explain must be answered by the cache (one fit in this process).
 "$LOADGEN_BIN" --port "$PORT" --check
 "$LOADGEN_BIN" --port "$PORT" --check
-"$LOADGEN_BIN" --port "$PORT" --endpoint predict --connections 2 \
-  --duration-s 1 > "$WORK_DIR/loadgen_store.log"
+"$LOADGEN_BIN" --port "$PORT" --connections 2 --duration-s 1 \
+  > "$WORK_DIR/loadgen_store.log"
 cat "$WORK_DIR/loadgen_store.log"
 
 STORE_METRICS="$WORK_DIR/metrics_store.txt"
@@ -193,26 +182,9 @@ echo "store smoke passed (port $PORT, mmap_bytes=$MMAP_BYTES," \
 # surplus of a saturating burst must shed with 429 + Retry-After while
 # the shard's inline GET path keeps /healthz and /metrics responsive ----
 
-rm -f "$WORK_DIR/serve_overload.log"
-"$SERVE_BIN" --model "$WORK_DIR/model.txt" --name census --port 0 \
-  --shards 1 --workers 1 --queue-capacity 1 \
-  --univariate 3 --samples 500000 --k 64 \
-  > "$WORK_DIR/serve_overload.log" 2>&1 &
-SERVER_PID=$!
-trap 'kill -9 $SERVER_PID 2>/dev/null || true' EXIT
-
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^listening on [0-9.]*:\([0-9]*\)$/\1/p' \
-    "$WORK_DIR/serve_overload.log" | head -1)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-if [ -z "$PORT" ]; then
-  echo "overload server never reported its port:"
-  cat "$WORK_DIR/serve_overload.log"
-  exit 1
-fi
+start_server "$WORK_DIR/serve_overload.log" --model "$WORK_DIR/model.txt" \
+  --name census --shards 1 --workers 1 --queue-capacity 1 \
+  --univariate 3 --samples 500000 --k 64
 
 # One close-mode GET via /dev/tcp (no curl in the image).
 http_get() {
@@ -308,8 +280,8 @@ fi
 # Open-loop mode end-to-end: offered load beyond the tiny server's
 # capacity keeps the tool exit 0 (sheds are not errors) and reports
 # honest intended-send-time latencies.
-"$LOADGEN_BIN" --port "$PORT" --endpoint predict --open-loop \
-  --target-qps 3000 --connections 2 --duration-s 1 \
+"$LOADGEN_BIN" --port "$PORT" --open-loop --target-qps 3000 \
+  --connections 2 --duration-s 1 \
   > "$WORK_DIR/loadgen_openloop.log"
 cat "$WORK_DIR/loadgen_openloop.log"
 grep -q "mode=open-loop" "$WORK_DIR/loadgen_openloop.log"
