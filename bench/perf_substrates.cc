@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "data/superconductivity.h"
 #include "data/synthetic.h"
 #include "forest/compiled_kernels.h"
 #include "forest/gbdt_trainer.h"
@@ -45,6 +46,30 @@ void BM_GbdtTrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 20);
 }
 BENCHMARK(BM_GbdtTrain)->Arg(1000)->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
+
+// GBDT training on the 81-feature superconductivity data at the shape of
+// the wide perfbench forest (3000 rows, 64 leaves), swept over thread
+// counts. The tree grower is serial, and with every row sampled and no
+// validation set no score update walks the trees on the pool, so the
+// rate (per wall-clock second) should not follow the thread count: it is
+// the baseline a parallel grower has to beat.
+void BM_GbdtTrainWideThreads(benchmark::State& state) {
+  Rng rng(44);
+  const size_t rows = 3000;
+  Dataset data = MakeSuperconductivityDataset(rows, &rng);
+  GbdtConfig config;
+  config.num_trees = 20;
+  config.num_leaves = 64;
+  SetNumThreads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TrainGbdt(data, nullptr, config));
+  }
+  SetNumThreads(0);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows) * config.num_trees);
+}
+BENCHMARK(BM_GbdtTrainWideThreads)->Apply(ThreadCounts)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_Binning(benchmark::State& state) {

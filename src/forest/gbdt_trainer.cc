@@ -26,6 +26,18 @@ void AddTreePredictions(const Tree& tree, const Dataset& data,
                      });
 }
 
+// True when every feature value of `data` is finite. Only then does a
+// row's bin route it as `x <= threshold` does: a NaN bins to 0, so the
+// grower sends it left, while Tree::Predict sends it right.
+bool AllFeaturesFinite(const Dataset& data) {
+  for (size_t f = 0; f < data.num_features(); ++f) {
+    for (double v : data.Column(f)) {
+      if (!std::isfinite(v)) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 GbdtTrainResult TrainGbdt(const Dataset& train, const Dataset* valid,
@@ -69,6 +81,13 @@ GbdtTrainResult TrainGbdt(const Dataset& train, const Dataset* valid,
   std::vector<double> gradients, hessians;
   std::vector<int> all_rows(n);
   for (size_t i = 0; i < n; ++i) all_rows[i] = static_cast<int>(i);
+  // When every row is grown on, the grower's partition already says
+  // which leaf each training row falls into, so the score update needs no
+  // tree walk.
+  const bool update_from_leaves =
+      config.subsample_rows == 1.0 && AllFeaturesFinite(train);
+  std::vector<int> leaf_of;
+  std::vector<int> sampled_rows;
 
   double best_valid = std::numeric_limits<double>::infinity();
   int best_iter = -1;
@@ -78,28 +97,34 @@ GbdtTrainResult TrainGbdt(const Dataset& train, const Dataset* valid,
     loss.ComputeDerivatives(train.targets(), scores, &gradients,
                             &hessians);
 
-    std::vector<int> rows;
     if (config.subsample_rows < 1.0) {
       size_t keep = std::max<size_t>(
           1, static_cast<size_t>(config.subsample_rows *
                                  static_cast<double>(n)));
-      rows.reserve(keep);
+      sampled_rows.clear();
       for (size_t idx : rng.SampleWithoutReplacement(n, keep)) {
-        rows.push_back(static_cast<int>(idx));
+        sampled_rows.push_back(static_cast<int>(idx));
       }
-    } else {
-      rows = all_rows;
     }
+    const std::vector<int>& rows =
+        config.subsample_rows < 1.0 ? sampled_rows : all_rows;
 
     Tree tree;
     {
       GEF_OBS_SPAN("forest.grow_tree");
-      tree = grower.Grow(gradients, hessians, rows, &rng);
+      tree = grower.Grow(gradients, hessians, rows, &rng,
+                         update_from_leaves ? &leaf_of : nullptr);
     }
     tree.ScaleLeaves(config.learning_rate);
 
     // Update cached scores with the new tree.
-    AddTreePredictions(tree, train, &scores);
+    if (update_from_leaves) {
+      for (size_t i = 0; i < n; ++i) {
+        scores[i] += tree.node(static_cast<size_t>(leaf_of[i])).value;
+      }
+    } else {
+      AddTreePredictions(tree, train, &scores);
+    }
     result.train_loss_curve.push_back(
         loss.Evaluate(train.targets(), scores));
     GEF_OBS_METRIC("gbdt.train_loss", round,

@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <set>
 
 #include "obs/obs.h"
 
 namespace gef {
+namespace {
+
+// Features whose histograms one pass over a node's rows fills.
+constexpr size_t kFeaturesPerPass = 4;
+
+}  // namespace
 
 BinMapper::BinMapper(const Dataset& dataset, int max_bins) {
   GEF_CHECK_GT(max_bins, 1);
@@ -15,6 +20,10 @@ BinMapper::BinMapper(const Dataset& dataset, int max_bins) {
   boundaries_.resize(dataset.num_features());
   for (size_t f = 0; f < dataset.num_features(); ++f) {
     std::vector<double> values = dataset.Column(f);
+    // NaN has no place in the order `<` sorts by; it bins to 0.
+    values.erase(std::remove_if(values.begin(), values.end(),
+                                [](double v) { return std::isnan(v); }),
+                 values.end());
     std::sort(values.begin(), values.end());
     values.erase(std::unique(values.begin(), values.end()), values.end());
 
@@ -83,96 +92,181 @@ TreeGrower::TreeGrower(const BinnedData& data, const BinMapper& mapper,
             config_.feature_fraction <= 1.0);
 }
 
+template <size_t kNumFeatures>
+void TreeGrower::FillHistograms(const int* rows, const GradHess* grad_hess,
+                                int num_rows, const uint16_t* const* columns,
+                                const int* offsets, GradHess* sums,
+                                int* counts) {
+  for (int i = 0; i < num_rows; ++i) {
+    const int row = rows[i];
+    for (size_t k = 0; k < kNumFeatures; ++k) {
+      const int bin = offsets[k] + columns[k][row];
+      sums[bin] += grad_hess[i];
+      ++counts[bin];
+    }
+  }
+}
+
 TreeGrower::SplitInfo TreeGrower::FindBestSplit(
-    const std::vector<int>& rows, double sum_g, double sum_h,
-    const double* gradients, const double* hessians,
-    const std::vector<uint8_t>& feature_mask) const {
+    const NodeRows& node, const std::vector<int>& features) {
   SplitInfo best;
-  const double parent_score = LeafScore(sum_g, sum_h);
-  const int total_count = static_cast<int>(rows.size());
+  const double parent_score = LeafScore(node.sum[0], node.sum[1]);
+  const GradHess lambda = {config_.lambda_l2, config_.lambda_l2};
+  const int total_count = node.count();
+  const int* rows = rows_.data() + node.begin;
+  const GradHess* grad_hess = grad_hess_.data() + node.begin;
 
-  // Reusable histogram buffers sized for the widest feature.
-  static thread_local std::vector<double> hist_g, hist_h;
-  static thread_local std::vector<int> hist_c;
-
-  for (size_t f = 0; f < data_.num_features(); ++f) {
-    if (!feature_mask.empty() && !feature_mask[f]) continue;
-    const int num_bins = mapper_.NumBins(static_cast<int>(f));
-    if (num_bins < 2) continue;
-
-    hist_g.assign(num_bins, 0.0);
-    hist_h.assign(num_bins, 0.0);
-    hist_c.assign(num_bins, 0);
-    const std::vector<uint16_t>& column = data_.Column(f);
-    for (int row : rows) {
-      int bin = column[row];
-      hist_g[bin] += gradients[row];
-      hist_h[bin] += hessians[row];
-      hist_c[bin] += 1;
+  for (size_t first = 0; first < features.size();
+       first += kFeaturesPerPass) {
+    const size_t num_pass =
+        std::min(kFeaturesPerPass, features.size() - first);
+    // The pass's columns, and where each one's bins start in hist_*_.
+    const uint16_t* columns[kFeaturesPerPass] = {};
+    int offsets[kFeaturesPerPass + 1] = {};
+    for (size_t k = 0; k < num_pass; ++k) {
+      columns[k] = data_.Column(features[first + k]).data();
+      offsets[k + 1] = offsets[k] + mapper_.NumBins(features[first + k]);
+    }
+    hist_sums_.assign(offsets[num_pass], GradHess{0.0, 0.0});
+    hist_counts_.assign(offsets[num_pass], 0);
+    GradHess* const sums = hist_sums_.data();
+    int* const counts = hist_counts_.data();
+    static_assert(kFeaturesPerPass == 4, "one FillHistograms case per size");
+    switch (num_pass) {
+      case 1:
+        FillHistograms<1>(rows, grad_hess, total_count, columns, offsets,
+                          sums, counts);
+        break;
+      case 2:
+        FillHistograms<2>(rows, grad_hess, total_count, columns, offsets,
+                          sums, counts);
+        break;
+      case 3:
+        FillHistograms<3>(rows, grad_hess, total_count, columns, offsets,
+                          sums, counts);
+        break;
+      default:
+        FillHistograms<4>(rows, grad_hess, total_count, columns, offsets,
+                          sums, counts);
+        break;
     }
 
-    double left_g = 0.0, left_h = 0.0;
-    int left_c = 0;
-    for (int b = 0; b + 1 < num_bins; ++b) {
-      left_g += hist_g[b];
-      left_h += hist_h[b];
-      left_c += hist_c[b];
-      int right_c = total_count - left_c;
-      if (left_c < config_.min_samples_leaf) continue;
-      if (right_c < config_.min_samples_leaf) break;
-      double right_g = sum_g - left_g;
-      double right_h = sum_h - left_h;
-      double gain =
-          0.5 * (LeafScore(left_g, left_h) + LeafScore(right_g, right_h) -
-                 parent_score);
-      if (gain > best.gain) {
-        best.gain = gain;
-        best.feature = static_cast<int>(f);
-        best.bin = b;
-        best.left_value = LeafValue(left_g, left_h);
-        best.right_value = LeafValue(right_g, right_h);
-        best.left_count = left_c;
-        best.right_count = right_c;
+    for (size_t k = 0; k < num_pass; ++k) {
+      const int num_bins = offsets[k + 1] - offsets[k];
+      const GradHess* bin_sums = sums + offsets[k];
+      const int* bin_counts = counts + offsets[k];
+      GradHess left = {0.0, 0.0};
+      int left_c = 0;
+      for (int b = 0; b + 1 < num_bins; ++b) {
+        left += bin_sums[b];
+        left_c += bin_counts[b];
+        int right_c = total_count - left_c;
+        if (left_c < config_.min_samples_leaf) continue;
+        if (right_c < config_.min_samples_leaf) break;
+        const GradHess right = node.sum - left;
+        // LeafScore of both sides in one two-lane multiply and divide.
+        const GradHess g = {left[0], right[0]};
+        const GradHess h = {left[1], right[1]};
+        const GradHess score = g * g / (h + lambda);
+        double gain = 0.5 * (score[0] + score[1] - parent_score);
+        if (gain > best.gain) {
+          best.gain = gain;
+          best.feature = features[first + k];
+          best.bin = b;
+          best.left_value = LeafValue(left[0], left[1]);
+          best.right_value = LeafValue(right[0], right[1]);
+          best.left_count = left_c;
+          best.right_count = right_c;
+        }
       }
     }
   }
   return best;
 }
 
+TreeGrower::NodeRows TreeGrower::Partition(const NodeRows& node,
+                                           const SplitInfo& split) {
+  const uint16_t* column = data_.Column(split.feature).data();
+  int* const rows = rows_.data();
+  GradHess* const grad_hess = grad_hess_.data();
+  NodeRows left;
+  left.begin = node.begin;
+  int num_left = node.begin;  // write cursor; never passes the read one
+  int num_right = 0;
+  for (int i = node.begin; i < node.end; ++i) {
+    const int row = rows[i];
+    const GradHess pair = grad_hess[i];
+    if (column[row] <= split.bin) {
+      rows[num_left] = row;
+      grad_hess[num_left] = pair;
+      left.sum += pair;
+      ++num_left;
+    } else {
+      scratch_rows_[num_right] = row;
+      scratch_grad_hess_[num_right] = pair;
+      ++num_right;
+    }
+  }
+  std::copy(scratch_rows_.begin(), scratch_rows_.begin() + num_right,
+            rows + num_left);
+  std::copy(scratch_grad_hess_.begin(),
+            scratch_grad_hess_.begin() + num_right, grad_hess + num_left);
+  left.end = num_left;
+  return left;
+}
+
 Tree TreeGrower::Grow(const std::vector<double>& gradients,
                       const std::vector<double>& hessians,
-                      const std::vector<int>& rows, Rng* rng) const {
+                      const std::vector<int>& rows, Rng* rng,
+                      std::vector<int>* leaf_of) {
   GEF_CHECK_EQ(gradients.size(), data_.num_rows());
   GEF_CHECK_EQ(hessians.size(), data_.num_rows());
   GEF_CHECK(!rows.empty());
 
-  // Per-tree feature subsampling (Random Forest mode).
-  std::vector<uint8_t> feature_mask;
+  // The features this tree searches, ascending: all of them, or a
+  // per-tree sample (Random Forest mode). A one-bin feature cannot split.
+  const size_t num_features = data_.num_features();
+  std::vector<uint8_t> in_tree(num_features, 1);
   if (config_.feature_fraction < 1.0) {
     GEF_CHECK(rng != nullptr);
     size_t keep = std::max<size_t>(
         1, static_cast<size_t>(std::round(config_.feature_fraction *
-                                          data_.num_features())));
-    feature_mask.assign(data_.num_features(), 0);
-    for (size_t f : rng->SampleWithoutReplacement(data_.num_features(),
-                                                  keep)) {
-      feature_mask[f] = 1;
+                                          num_features)));
+    in_tree.assign(num_features, 0);
+    for (size_t f : rng->SampleWithoutReplacement(num_features, keep)) {
+      in_tree[f] = 1;
+    }
+  }
+  std::vector<int> features;
+  for (size_t f = 0; f < num_features; ++f) {
+    const int feature = static_cast<int>(f);
+    if (in_tree[f] && mapper_.NumBins(feature) >= 2) {
+      features.push_back(feature);
     }
   }
 
-  double root_g = 0.0, root_h = 0.0;
-  for (int row : rows) {
-    root_g += gradients[row];
-    root_h += hessians[row];
+  // Gather every row's {g, h} once, in row order; each node's rows and
+  // gradients are then one contiguous slice of rows_ / grad_hess_.
+  const int num_rows = static_cast<int>(rows.size());
+  rows_.assign(rows.begin(), rows.end());
+  grad_hess_.resize(rows.size());
+  scratch_rows_.resize(rows.size());
+  scratch_grad_hess_.resize(rows.size());
+  NodeRows root;
+  root.end = num_rows;
+  for (int i = 0; i < num_rows; ++i) {
+    const int row = rows[i];
+    grad_hess_[i] = GradHess{gradients[row], hessians[row]};
+    root.sum += grad_hess_[i];
   }
 
-  Tree tree = Tree::Stump(LeafValue(root_g, root_h),
-                          static_cast<int>(rows.size()));
+  Tree tree = Tree::Stump(LeafValue(root.sum[0], root.sum[1]), num_rows);
+  // node_rows[i] is the row range of tree node i.
+  std::vector<NodeRows> node_rows = {root};
 
   struct Candidate {
     int leaf;                 // node index in tree
-    std::vector<int> rows;
-    double sum_g, sum_h;
+    NodeRows rows;
     SplitInfo split;
   };
   // Max-heap over candidate split gains; indices into `candidates`.
@@ -183,27 +277,24 @@ Tree TreeGrower::Grow(const std::vector<double>& gradients,
   auto cmp = [&gain_of](int a, int b) { return gain_of(a) < gain_of(b); };
   std::priority_queue<int, std::vector<int>, decltype(cmp)> heap(cmp);
 
-  auto enqueue = [&](int leaf, std::vector<int> leaf_rows, double g,
-                     double h) {
-    if (static_cast<int>(leaf_rows.size()) < 2 * config_.min_samples_leaf) {
+  auto enqueue = [&](int leaf) {
+    const NodeRows& leaf_rows = node_rows[leaf];
+    if (leaf_rows.count() < 2 * config_.min_samples_leaf) {
       return;  // cannot produce two admissible children
     }
-    SplitInfo split = FindBestSplit(leaf_rows, g, h, gradients.data(),
-                                    hessians.data(), feature_mask);
+    SplitInfo split = FindBestSplit(leaf_rows, features);
     if (!split.valid() || split.gain <= config_.min_gain) return;
-    candidates.push_back(
-        {leaf, std::move(leaf_rows), g, h, split});
+    candidates.push_back({leaf, leaf_rows, split});
     heap.push(static_cast<int>(candidates.size()) - 1);
   };
 
-  enqueue(0, rows, root_g, root_h);
+  enqueue(0);
 
   int num_leaves = 1;
   double tree_gain = 0.0;
   while (num_leaves < config_.num_leaves && !heap.empty()) {
-    int ci = heap.top();
+    const Candidate cand = candidates[heap.top()];
     heap.pop();
-    Candidate& cand = candidates[ci];
     const SplitInfo& split = cand.split;
 
     double threshold = mapper_.UpperBoundary(split.feature, split.bin);
@@ -213,28 +304,28 @@ Tree TreeGrower::Grow(const std::vector<double>& gradients,
     ++num_leaves;
     tree_gain += split.gain;
 
-    // Partition rows by bin.
-    const std::vector<uint16_t>& column = data_.Column(split.feature);
-    std::vector<int> left_rows, right_rows;
-    left_rows.reserve(split.left_count);
-    right_rows.reserve(split.right_count);
-    double left_g = 0.0, left_h = 0.0;
-    for (int row : cand.rows) {
-      if (column[row] <= split.bin) {
-        left_rows.push_back(row);
-        left_g += gradients[row];
-        left_h += hessians[row];
-      } else {
-        right_rows.push_back(row);
+    NodeRows left_rows = Partition(cand.rows, split);
+    GEF_DCHECK(left_rows.count() == split.left_count);
+    NodeRows right_rows;
+    right_rows.begin = left_rows.end;
+    right_rows.end = cand.rows.end;
+    right_rows.sum = cand.rows.sum - left_rows.sum;
+    node_rows.resize(tree.num_nodes());
+    node_rows[left] = left_rows;
+    node_rows[right] = right_rows;
+
+    enqueue(left);
+    enqueue(right);
+  }
+
+  if (leaf_of != nullptr) {
+    leaf_of->resize(data_.num_rows());
+    for (size_t node = 0; node < tree.num_nodes(); ++node) {
+      if (!tree.node(node).is_leaf()) continue;
+      for (int i = node_rows[node].begin; i < node_rows[node].end; ++i) {
+        (*leaf_of)[rows_[i]] = static_cast<int>(node);
       }
     }
-    double right_g = cand.sum_g - left_g;
-    double right_h = cand.sum_h - left_h;
-    cand.rows.clear();
-    cand.rows.shrink_to_fit();
-
-    enqueue(left, std::move(left_rows), left_g, left_h);
-    enqueue(right, std::move(right_rows), right_g, right_h);
   }
 
   GEF_OBS_COUNTER_ADD("grower.splits", num_leaves - 1);

@@ -163,12 +163,6 @@ void Disable() {
   for (auto& buffer : registry.buffers) buffer->events.clear();
 }
 
-std::string TracePath() {
-  Registry& registry = GetRegistry();
-  MutexLock lock(registry.mutex);
-  return registry.path;
-}
-
 Aggregates Flush() {
   Aggregates out;
   if (!Enabled()) return out;

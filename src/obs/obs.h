@@ -80,9 +80,6 @@ void Enable(const std::string& path);
 /// (regardless of GEF_TRACE) until the next Enable() call.
 void Disable();
 
-/// Path Flush() writes to ("" when tracing is off or in-memory).
-std::string TracePath();
-
 /// Wall-time span; nestable, thread-aware. Construct on the stack around
 /// a pipeline stage. When tracing is off the constructor is one atomic
 /// load; nothing is recorded.
@@ -123,9 +120,6 @@ inline void MetricPoint(const char* name, double step, double value) {
 struct SpanStats {
   uint64_t count = 0;
   uint64_t total_ns = 0;
-  double total_seconds() const {
-    return static_cast<double>(total_ns) * 1e-9;
-  }
 };
 
 /// Everything a Flush() drained, keyed by instrumentation name.
@@ -137,18 +131,14 @@ struct Aggregates {
   std::map<std::string, uint64_t> metric_points;
   uint64_t peak_rss_bytes = 0;
 
-  double SpanSeconds(const std::string& name) const {
-    auto it = spans.find(name);
-    return it == spans.end() ? 0.0 : it->second.total_seconds();
-  }
   double Counter(const std::string& name) const {
     auto it = counters.find(name);
     return it == counters.end() ? 0.0 : it->second;
   }
 };
 
-/// Drains every thread's buffer: appends JSONL events to TracePath()
-/// (when non-empty) and returns the aggregates. Buffers restart empty.
+/// Drains every thread's buffer: appends JSONL events to the Enable()
+/// path (when non-empty) and returns the aggregates. Buffers restart empty.
 /// Must be called outside parallel regions; a no-op returning empty
 /// aggregates when tracing is off.
 Aggregates Flush();

@@ -9,6 +9,40 @@ namespace gef {
 
 namespace {
 
+// Length of the well-formed multi-byte UTF-8 sequence that starts at
+// text[pos] (a byte >= 0x80), per the table of RFC 3629 §4; 0 when the
+// bytes there are not one: a stray continuation byte, the overlong leads
+// C0/C1 and E0/F0 forms, an encoded surrogate (ED A0..BF), a code point
+// above U+10FFFF (F4 90+, F5..FF) or a sequence cut short. The parser and
+// the escaper share this one rule.
+size_t Utf8SequenceLength(const std::string& text, size_t pos) {
+  const unsigned char lead = static_cast<unsigned char>(text[pos]);
+  size_t tail = 0;
+  unsigned char lo = 0x80;  // bounds of the byte after the lead
+  unsigned char hi = 0xBF;
+  if (lead >= 0xC2 && lead <= 0xDF) {
+    tail = 1;
+  } else if (lead >= 0xE0 && lead <= 0xEF) {
+    tail = 2;
+    if (lead == 0xE0) lo = 0xA0;
+    if (lead == 0xED) hi = 0x9F;
+  } else if (lead >= 0xF0 && lead <= 0xF4) {
+    tail = 3;
+    if (lead == 0xF0) lo = 0x90;
+    if (lead == 0xF4) hi = 0x8F;
+  } else {
+    return 0;
+  }
+  if (tail >= text.size() - pos) return 0;
+  for (size_t i = 1; i <= tail; ++i) {
+    const unsigned char byte = static_cast<unsigned char>(text[pos + i]);
+    if (byte < lo || byte > hi) return 0;
+    lo = 0x80;
+    hi = 0xBF;
+  }
+  return tail + 1;
+}
+
 class Parser {
  public:
   Parser(const std::string& text, int max_depth)
@@ -59,7 +93,7 @@ class Parser {
         return Error("control character in string");
       }
       if (static_cast<unsigned char>(c) >= 0x80) {
-        if (!ConsumeUtf8(static_cast<unsigned char>(c), out)) {
+        if (!ConsumeUtf8(out)) {
           return Error("invalid UTF-8 in string");
         }
         continue;
@@ -110,37 +144,12 @@ class Parser {
   }
 
   // The rest of one raw multi-byte UTF-8 sequence whose lead byte was
-  // just consumed, per the well-formed table of RFC 3629 §4. Rejects
-  // stray continuation bytes, the overlong leads C0/C1 and E0/F0 forms,
-  // encoded surrogates (ED A0..BF), code points above U+10FFFF (F4 90+,
-  // F5..FF) and sequences cut short.
-  bool ConsumeUtf8(unsigned char lead, std::string* out) {
-    size_t tail = 0;
-    unsigned char lo = 0x80;  // bounds of the byte after the lead
-    unsigned char hi = 0xBF;
-    if (lead >= 0xC2 && lead <= 0xDF) {
-      tail = 1;
-    } else if (lead >= 0xE0 && lead <= 0xEF) {
-      tail = 2;
-      if (lead == 0xE0) lo = 0xA0;
-      if (lead == 0xED) hi = 0x9F;
-    } else if (lead >= 0xF0 && lead <= 0xF4) {
-      tail = 3;
-      if (lead == 0xF0) lo = 0x90;
-      if (lead == 0xF4) hi = 0x8F;
-    } else {
-      return false;
-    }
-    if (tail > text_.size() - pos_) return false;
-    for (size_t i = 0; i < tail; ++i) {
-      const unsigned char byte = static_cast<unsigned char>(text_[pos_ + i]);
-      if (byte < lo || byte > hi) return false;
-      lo = 0x80;
-      hi = 0xBF;
-    }
-    out->push_back(static_cast<char>(lead));
-    out->append(text_, pos_, tail);
-    pos_ += tail;
+  // just consumed; false when the bytes are not one (Utf8SequenceLength).
+  bool ConsumeUtf8(std::string* out) {
+    const size_t length = Utf8SequenceLength(text_, pos_ - 1);
+    if (length == 0) return false;
+    out->append(text_, pos_ - 1, length);
+    pos_ += length - 1;
     return true;
   }
 
@@ -324,7 +333,8 @@ StatusOr<Json> ParseJson(const std::string& text, int max_depth) {
 std::string JsonEscapeString(const std::string& text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -339,8 +349,14 @@ std::string JsonEscapeString(const std::string& text) {
           std::snprintf(buf, sizeof(buf), "\\u%04x",
                         static_cast<unsigned>(c) & 0xff);
           out += buf;
-        } else {
+        } else if (static_cast<unsigned char>(c) < 0x80) {
           out.push_back(c);
+        } else if (const size_t length = Utf8SequenceLength(text, i)) {
+          out.append(text, i, length);
+          i += length - 1;
+        } else {
+          // Not UTF-8, so no JSON text may carry it raw.
+          out += "\\ufffd";
         }
     }
   }

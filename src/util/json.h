@@ -55,8 +55,10 @@ StatusOr<Json> ParseJson(const std::string& text, int max_depth = 64);
 size_t JsonNumberLength(const char* begin, const char* end);
 
 /// Escapes `text` for embedding inside a JSON string literal (quotes,
-/// backslashes, control characters as \b \f \n \r \t or \u00XX). Bytes
-/// from 0x80 up pass through unchanged.
+/// backslashes, control characters as \b \f \n \r \t or \u00XX).
+/// Well-formed UTF-8 passes through byte for byte; each byte that does not
+/// start a well-formed sequence (the rule ParseJson applies) becomes
+/// \ufffd, so the result is UTF-8 whatever `text` holds.
 std::string JsonEscapeString(const std::string& text);
 
 /// Shortest text that reads back to the same double (`std::to_chars`,

@@ -145,9 +145,53 @@ TEST(GbdtTest, DeterministicGivenSeed) {
   config.subsample_rows = 0.7;
   auto a = TrainGbdt(data, nullptr, config);
   auto b = TrainGbdt(data, nullptr, config);
-  std::vector<double> pa = a.forest.PredictRawBatch(data);
-  std::vector<double> pb = b.forest.PredictRawBatch(data);
-  for (size_t i = 0; i < pa.size(); ++i) EXPECT_DOUBLE_EQ(pa[i], pb[i]);
+  // Byte-identical models, not merely close predictions.
+  EXPECT_EQ(a.forest.ContentHash(), b.forest.ContentHash());
+}
+
+// The training loss is computed from the scores the trainer updates after
+// each tree; it must equal the loss of the forest's own tree walk, bit for
+// bit, whether the update reads the grower's leaves (every row sampled,
+// every value finite) or walks each tree (subsampled rows, or a NaN).
+TEST(GbdtTest, TrainingScoresMatchForestWalk) {
+  const SquaredLoss loss;
+  auto check = [&loss](const Dataset& data, const GbdtConfig& config) {
+    GbdtTrainResult result = TrainGbdt(data, nullptr, config);
+    std::vector<double> walked(data.num_rows());
+    std::vector<double> row;
+    for (size_t i = 0; i < data.num_rows(); ++i) {
+      data.GetRowInto(i, &row);
+      walked[i] = result.forest.PredictRaw(row.data());
+    }
+    EXPECT_EQ(result.train_loss_curve.back(),
+              loss.Evaluate(data.targets(), walked));
+  };
+
+  Rng rng(92);
+  const Dataset finite = MakeGPrimeDataset(600, &rng);
+  GbdtConfig config;
+  config.num_trees = 15;
+  config.num_leaves = 16;
+  config.min_samples_leaf = 5;
+  check(finite, config);
+  GbdtConfig subsampled = config;
+  subsampled.subsample_rows = 0.6;
+  check(finite, subsampled);
+
+  // A NaN bins to 0, so the grower puts it left of every split, while the
+  // walk sends it right (NaN <= t is false). Binning leaves NaN out of the
+  // boundaries, so the trees still split between the finite values.
+  Dataset with_nan(std::vector<std::string>{"x"});
+  for (int i = 0; i < 15; ++i) {
+    with_nan.AppendRow({static_cast<double>(i)}, i >= 8 ? 1.0 : 0.0);
+  }
+  with_nan.AppendRow({std::nan("")}, 1.0);
+  GbdtConfig tiny;
+  tiny.num_trees = 3;
+  tiny.num_leaves = 2;
+  tiny.min_samples_leaf = 1;
+  tiny.learning_rate = 0.5;
+  check(with_nan, tiny);
 }
 
 TEST(GbdtTest, GainsAreRecordedOnInternalNodes) {

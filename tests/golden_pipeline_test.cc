@@ -194,6 +194,13 @@ TEST(GoldenPipelineTest, BenchWorkloadFidelityHoldsBaseline) {
     ASSERT_EQ(fits.count("spline_gam"), 1u);
     EXPECT_EQ(fits.at("spline_gam")->surrogate->ContentHash(),
               0x2288956638d694fau);
+
+    // ---- Boosted fANOVA bits. Its step functions are grown by the same
+    // TreeGrower as the forest, on 1- and 2-feature views of D*, so this
+    // pins the grower's exactness through the second backend too.
+    ASSERT_EQ(fits.count("boosted_fanova"), 1u);
+    EXPECT_EQ(fits.at("boosted_fanova")->surrogate->ContentHash(),
+              0x53f10e8328a203c1u);
   }
 }
 

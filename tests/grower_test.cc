@@ -1,6 +1,7 @@
 // Tests for binning (BinMapper / BinnedData) and the leaf-wise grower.
 
 #include <cmath>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +53,26 @@ TEST(BinMapperTest, ConstantFeatureHasSingleBin) {
   for (int i = 0; i < 10; ++i) d.AppendRow({5.0}, 0.0);
   BinMapper mapper(d, 255);
   EXPECT_EQ(mapper.NumBins(0), 1);
+}
+
+TEST(BinMapperTest, NanIsLeftOutOfTheBoundaries) {
+  // `<` does not order NaN, so binning drops it before sorting: the
+  // boundaries are those of the finite values alone, wherever the NaNs
+  // sit, and a NaN bins to 0.
+  Dataset finite(std::vector<std::string>{"x"});
+  Dataset with_nan(std::vector<std::string>{"x"});
+  for (int i = 0; i < 40; ++i) {
+    const double v = static_cast<double>((i * 7) % 40);
+    finite.AppendRow({v}, 0.0);
+    if (i % 3 == 0) with_nan.AppendRow({std::nan("")}, 0.0);
+    with_nan.AppendRow({v}, 0.0);
+  }
+  for (int max_bins : {255, 16}) {
+    BinMapper expected(finite, max_bins);
+    BinMapper mapper(with_nan, max_bins);
+    EXPECT_EQ(mapper.boundaries(0), expected.boundaries(0));
+    EXPECT_EQ(mapper.BinFor(0, std::nan("")), 0);
+  }
 }
 
 TEST(BinnedDataTest, BinsMatchMapper) {
@@ -275,6 +296,65 @@ TEST_F(GrowerFixture, FeatureFractionRestrictsFeatures) {
     if (!uses_x) ++used_noise_only;
   }
   EXPECT_GT(used_noise_only, 0);  // some trees were denied feature 0
+}
+
+TEST_F(GrowerFixture, LeafOfMatchesTreeRouting) {
+  // Grow reports each row's leaf from its partition by bin; that must be
+  // the leaf Tree::LeafIndex walks the row's values to, since for finite
+  // values bin <= b is x <= UpperBoundary(b).
+  Rng rng(75);
+  Dataset d = LinearDataset(500, &rng);
+  BinMapper mapper(d, 32);  // coarse bins: many rows share each bin
+  BinnedData binned(d, mapper);
+  GrowerConfig config;
+  config.num_leaves = 12;
+  config.min_samples_leaf = 5;
+  TreeGrower grower(binned, mapper, config);
+  std::vector<double> g(500), h(500, 1.0);
+  for (size_t i = 0; i < 500; ++i) g[i] = -d.target(i);
+  std::vector<int> rows(500);
+  std::iota(rows.begin(), rows.end(), 0);
+  std::vector<int> leaf_of;
+  Tree tree = grower.Grow(g, h, rows, &rng, &leaf_of);
+  ASSERT_GT(tree.num_leaves(), 2u);
+  ASSERT_EQ(leaf_of.size(), 500u);
+  std::vector<double> x;
+  for (size_t i = 0; i < 500; ++i) {
+    d.GetRowInto(i, &x);
+    EXPECT_EQ(leaf_of[i], tree.LeafIndex(x)) << "row " << i;
+  }
+}
+
+TEST_F(GrowerFixture, ReusedGrowerMatchesFreshOne) {
+  // A grower keeps its row buffers between Grow calls; a tree grown after
+  // a larger one must equal the tree a fresh grower grows.
+  Rng rng(76);
+  Dataset d = LinearDataset(400, &rng);
+  BinMapper mapper(d, 255);
+  BinnedData binned(d, mapper);
+  GrowerConfig config;
+  config.num_leaves = 8;
+  config.min_samples_leaf = 5;
+  std::vector<double> g(400), h(400, 1.0);
+  for (size_t i = 0; i < 400; ++i) g[i] = -d.target(i);
+  std::vector<int> all_rows(400);
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  std::vector<int> odd_rows;
+  for (int i = 1; i < 400; i += 2) odd_rows.push_back(i);
+
+  TreeGrower reused(binned, mapper, config);
+  reused.Grow(g, h, all_rows, &rng);
+  Tree second = reused.Grow(g, h, odd_rows, &rng);
+  TreeGrower fresh(binned, mapper, config);
+  Tree expected = fresh.Grow(g, h, odd_rows, &rng);
+  ASSERT_EQ(second.num_nodes(), expected.num_nodes());
+  for (size_t i = 0; i < expected.num_nodes(); ++i) {
+    EXPECT_EQ(second.node(i).feature, expected.node(i).feature);
+    EXPECT_EQ(second.node(i).threshold, expected.node(i).threshold);
+    EXPECT_EQ(second.node(i).gain, expected.node(i).gain);
+    EXPECT_EQ(second.node(i).value, expected.node(i).value);
+    EXPECT_EQ(second.node(i).count, expected.node(i).count);
+  }
 }
 
 }  // namespace

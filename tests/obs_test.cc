@@ -87,7 +87,6 @@ TEST_F(ObsTest, MissingNamesReturnZero) {
   obs::Enable("");
   GEF_OBS_COUNTER_ADD("obs_test.present", 1.0);
   obs::Aggregates agg = obs::Flush();
-  EXPECT_DOUBLE_EQ(agg.SpanSeconds("obs_test.no_such_span"), 0.0);
   EXPECT_DOUBLE_EQ(agg.Counter("obs_test.no_such_counter"), 0.0);
 }
 
@@ -111,7 +110,6 @@ TEST_F(ObsTest, JsonlEmissionParsesAndNests) {
       ::testing::TempDir() + "/obs_test_trace.jsonl";
   std::remove(path.c_str());
   obs::Enable(path);
-  EXPECT_EQ(obs::TracePath(), path);
   {
     GEF_OBS_SPAN("obs_test.depth0");
     GEF_OBS_SPAN("obs_test.depth1");

@@ -10,9 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include "data/census.h"
+#include "data/one_hot.h"
+#include "data/superconductivity.h"
 #include "data/synthetic.h"
 #include "explain/kernelshap.h"
 #include "forest/gbdt_trainer.h"
+#include "forest/random_forest_trainer.h"
 #include "gef/sampling.h"
 #include "util/parallel.h"
 
@@ -129,8 +133,8 @@ TEST(ParallelPoolTest, NestedCallsRunSeriallyWithoutDeadlock) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-// End-to-end determinism: the library-level outputs the ISSUE pins down
-// must be bit-identical at GEF_NUM_THREADS = 1, 2, 8.
+// End-to-end determinism: library-level outputs must be bit-identical at
+// GEF_NUM_THREADS = 1, 2, 8.
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -189,6 +193,49 @@ TEST_F(ParallelDeterminismTest, KernelShapBitIdentical) {
     ShapExplanation e = explainer.Explain(x);
     EXPECT_EQ(e.base_value, baseline.base_value);
     EXPECT_EQ(e.values, baseline.values);
+  }
+}
+
+TEST_F(ParallelDeterminismTest, TrainedForestsBitIdentical) {
+  // Pinned hashes, not a comparison across thread counts: a grower
+  // change that reorders a histogram sum or breaks a gain tie the other
+  // way fails here even when it does so at every thread count.
+  Rng wide_rng(44);
+  const Dataset wide = MakeSuperconductivityDataset(1500, &wide_rng);
+  Rng census_rng(43);
+  const Dataset census_raw = MakeCensusDatasetRaw(2000, &census_rng);
+  const Dataset census =
+      OneHotEncoder(census_raw, CensusCategoricalColumns())
+          .Transform(census_raw);
+
+  GbdtConfig regression;
+  regression.num_trees = 40;
+  regression.num_leaves = 64;
+  regression.seed = 44;
+  GbdtConfig subsampled = regression;
+  subsampled.subsample_rows = 0.7;
+  GbdtConfig binary;
+  binary.objective = Objective::kBinaryClassification;
+  binary.num_trees = 40;
+  binary.num_leaves = 32;
+  binary.seed = 43;
+  RandomForestConfig forest;
+  forest.num_trees = 20;
+  forest.num_leaves = 64;
+  forest.feature_fraction = 0.5;
+  forest.seed = 44;
+
+  for (int threads : {1, 2, 8}) {
+    SetNumThreads(threads);
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(TrainGbdt(wide, nullptr, regression).forest.ContentHash(),
+              0x31d0fb0b58e5d294u);
+    EXPECT_EQ(TrainGbdt(wide, nullptr, subsampled).forest.ContentHash(),
+              0x3f287ad132e401cdu);
+    EXPECT_EQ(TrainGbdt(census, nullptr, binary).forest.ContentHash(),
+              0x1705d5e88ac01875u);
+    EXPECT_EQ(TrainRandomForest(wide, forest).ContentHash(),
+              0x0d886e81e5d50eb0u);
   }
 }
 

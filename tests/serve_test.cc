@@ -817,6 +817,31 @@ TEST_F(HandlersTest, PredictRejectsBadInput) {
   EXPECT_EQ(Call("POST", "/v1/predict", "{\"row\": [\"a\"]}").status, 400);
 }
 
+TEST_F(HandlersTest, EchoedBytesThatAreNotUtf8StayJson) {
+  // Error bodies echo the client's path and version, and /v1/models the
+  // operator's model names; a byte that is not UTF-8 must come back
+  // escaped (as U+FFFD), never raw, or the body is not JSON.
+  auto no_route = Call("GET", "/\xff");
+  EXPECT_EQ(no_route.status, 404);
+  auto route_body = ParseJson(no_route.body);
+  ASSERT_TRUE(route_body.ok()) << no_route.body;
+  EXPECT_NE(route_body->Find("error")->str.find("\xef\xbf\xbd"),
+            std::string::npos);
+
+  HttpRequestParser parser;
+  ASSERT_EQ(parser.Consume("GET / HTTP/\xff\r\n\r\n"),
+            HttpRequestParser::State::kError);
+  ASSERT_EQ(parser.error_status(), 505);
+  HttpResponse version =
+      serve::MakeErrorResponse(parser.error_status(), parser.error_message());
+  EXPECT_TRUE(ParseJson(version.body).ok()) << version.body;
+
+  ASSERT_TRUE(registry_.AddModel("c\xff" "x", TrainSmallForest()).ok());
+  auto models = Call("GET", "/v1/models");
+  EXPECT_EQ(models.status, 200);
+  EXPECT_TRUE(ParseJson(models.body).ok()) << models.body;
+}
+
 TEST_F(HandlersTest, NonUtf8StringIs400WithJsonBody) {
   // A raw 0xff is not UTF-8: the scanner declines it, ParseJson rejects
   // it, and the error body is itself JSON (so UTF-8).

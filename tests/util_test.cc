@@ -331,6 +331,26 @@ TEST(JsonTest, NumberAndEscapeRendering) {
   }
 }
 
+// Byte strings that are not UTF-8, one per way to fail RFC 3629 §4.
+const char* const kMalformedUtf8[] = {
+    "\x80",              // stray continuation byte
+    "a\xbf" "b",         // stray continuation byte mid-string
+    "\xff",              // never a UTF-8 byte
+    "\xfe\x80",
+    "\xc3",              // truncated 2-byte sequence
+    "\xe2\x82",          // truncated 3-byte sequence
+    "\xf0\x9f\x98",      // truncated 4-byte sequence
+    "\xc3(",             // lead byte, then no continuation
+    "\xc0\xaf",          // overlong '/'
+    "\xc1\xbf",          // overlong
+    "\xe0\x80\xaf",      // overlong 3-byte
+    "\xf0\x80\x80\xaf",  // overlong 4-byte
+    "\xed\xa0\x80",      // encoded surrogate U+D800
+    "\xed\xbf\xbf",      // encoded surrogate U+DFFF
+    "\xf4\x90\x80\x80",  // U+110000, above U+10FFFF
+    "\xf5\x80\x80\x80",  // lead byte above F4
+};
+
 TEST(JsonTest, RawStringBytesMustBeUtf8) {
   // Raw (unescaped) é, € and 😀 read back byte for byte.
   for (const char* text : {"\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80",
@@ -339,25 +359,7 @@ TEST(JsonTest, RawStringBytesMustBeUtf8) {
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_EQ(parsed->str, text);
   }
-  const char* const kMalformed[] = {
-      "\x80",              // stray continuation byte
-      "a\xbf" "b",         // stray continuation byte mid-string
-      "\xff",              // never a UTF-8 byte
-      "\xfe\x80",
-      "\xc3",              // truncated 2-byte sequence
-      "\xe2\x82",          // truncated 3-byte sequence
-      "\xf0\x9f\x98",      // truncated 4-byte sequence
-      "\xc3(",             // lead byte, then no continuation
-      "\xc0\xaf",          // overlong '/'
-      "\xc1\xbf",          // overlong
-      "\xe0\x80\xaf",      // overlong 3-byte
-      "\xf0\x80\x80\xaf",  // overlong 4-byte
-      "\xed\xa0\x80",      // encoded surrogate U+D800
-      "\xed\xbf\xbf",      // encoded surrogate U+DFFF
-      "\xf4\x90\x80\x80",  // U+110000, above U+10FFFF
-      "\xf5\x80\x80\x80",  // lead byte above F4
-  };
-  for (const char* bytes : kMalformed) {
+  for (const char* bytes : kMalformedUtf8) {
     auto parsed = ParseJson(std::string("\"") + bytes + "\"");
     EXPECT_FALSE(parsed.ok()) << "accepted malformed UTF-8";
     // A malformed key is refused the same way.
@@ -366,6 +368,31 @@ TEST(JsonTest, RawStringBytesMustBeUtf8) {
   }
   // The truncated sequence may not swallow the closing quote.
   EXPECT_FALSE(ParseJson("[\"\xe2\x82\"]").ok());
+}
+
+TEST(JsonTest, EscapeReplacesBytesThatAreNotUtf8) {
+  // Each byte that does not start a well-formed sequence becomes one
+  // \ufffd; a broken sequence's stray continuation bytes become their own.
+  EXPECT_EQ(JsonEscapeString("c\xff" "x"), "c\\ufffdx");
+  // Truncated, overlong and encoded-surrogate sequences.
+  EXPECT_EQ(JsonEscapeString("\xe2\x82"), "\\ufffd\\ufffd");
+  EXPECT_EQ(JsonEscapeString("\xc0\xaf"), "\\ufffd\\ufffd");
+  EXPECT_EQ(JsonEscapeString("\xed\xa0\x80"), "\\ufffd\\ufffd\\ufffd");
+  // Well-formed text, é and 😀 among ASCII, passes through byte for byte.
+  for (const char* text : {"\xc3\xa9", "\xf0\x9f\x98\x80",
+                           "d\xc3\xa9j\xc3\xa0 vu \xf0\x9f\x98\x80!"}) {
+    EXPECT_EQ(JsonEscapeString(text), text);
+  }
+  // So every escaped string is JSON, and malformed input reads back with
+  // U+FFFD in place of the bad bytes.
+  for (const char* bytes : kMalformedUtf8) {
+    std::string literal = "\"";
+    literal += JsonEscapeString(bytes);
+    literal += '"';
+    auto parsed = ParseJson(literal);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_NE(parsed->str.find("\xef\xbf\xbd"), std::string::npos);
+  }
 }
 
 TEST(JsonTest, FuzzedInputsNeverCrash) {
